@@ -3,14 +3,10 @@
 The scenario benchmarks (:mod:`benchmarks.perf.scenarios`) time whole
 seeded runs, which is the number that matters — but a 5% regression in one
 primitive drowns in scenario noise.  These micros time each hot primitive
-of the columnar packet core in isolation, with deterministic digests over
-their structural counters, so ``tools/check_perf.py`` can gate them like
+of the scheduler and the queues in isolation, with deterministic digests
+over their structural counters, so ``tools/check_perf.py`` can gate them like
 any other scenario row:
 
-* ``micro_pool_cycle`` — the :class:`~repro.sim.pool.PacketPool`
-  allocate/release cycle with the endpoints' inlined revive fast path and
-  the full set of hot-path field writes, over a small in-flight window
-  (the steady-state shape of a transfer).
 * ``micro_raw_entry`` — raw-entry schedule/dispatch round-trips through
   :class:`~repro.sim.eventlist.EventList`: self-rescheduling arity-0
   callbacks at staggered periods, the shape of every recurring service.
@@ -23,7 +19,7 @@ any other scenario row:
   both pins the batching win *and* the non-batched baseline.
 
 Every micro is fully deterministic: the digest hashes the run's structural
-counters (allocations, dispatches, bytes, final clock), so any change to
+counters (dispatches, packets, bytes, final clock), so any change to
 the primitives' observable behaviour — not just their speed — breaks the
 baseline match.
 """
@@ -32,23 +28,16 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import deque
-from typing import Deque
 
 from benchmarks.perf.scenarios import PerfResult, _best_of
 from repro.core.packets import NdpDataPacket
 from repro.sim.eventlist import EventList
-from repro.sim.packet import Packet, PacketPriority, Route
-from repro.sim.pool import PacketPool
+from repro.sim.packet import Packet, Route
 from repro.sim.queues import DropTailQueue
+from repro.sim.units import HEADER_BYTES
 
 #: repetitions per micro (best run wins, digests must agree)
 MICRO_REPEATS = 3
-
-#: allocate/release cycles timed by ``micro_pool_cycle``
-_POOL_CYCLES = 200_000
-#: in-flight window of the pool cycle (packets live at any instant)
-_POOL_WINDOW = 64
 
 #: raw-entry schedule/dispatch round-trips timed by ``micro_raw_entry``
 _RAW_EVENTS = 200_000
@@ -68,78 +57,9 @@ _DRAIN_SMALL_BYTES = 500
 #: would still batch — the singleton path needs to overshoot the slot)
 _DRAIN_OVERSIZE_BYTES = 12_000
 
-_LOW = PacketPriority.LOW
-
 
 def _digest(*counters: int) -> str:
     return hashlib.sha256(repr(counters).encode()).hexdigest()
-
-
-def _write_data_fields(packet: NdpDataPacket, seqno: int, size: int) -> None:
-    """The hot-path field writes of a revived data facade (cf. NdpSrc)."""
-    packet.flow_id = 1
-    packet.src = 0
-    packet.dst = 1
-    packet.size = size
-    packet.original_size = size
-    packet.seqno = seqno
-    packet.route = None
-    packet.hop = 0
-    packet.priority = _LOW
-    packet.is_header_only = False
-    packet.bounced = False
-    packet.ecn_capable = False
-    packet.ecn_ce = False
-    packet.path_id = 0
-    packet.send_time = 0
-    packet.syn = False
-    packet.last = False
-    packet.payload_bytes = size
-    packet.src_endpoint = None
-    packet.is_retransmit = False
-
-
-def run_pool_cycle(seed: int = 1, repeats: int = MICRO_REPEATS) -> PerfResult:
-    """Pool allocate/release over a sliding in-flight window."""
-
-    def once() -> PerfResult:
-        pool = PacketPool()
-        free = pool.free_list(NdpDataPacket)
-        generation = pool.generation
-        live_cls = pool.live_cls
-        ring: Deque[NdpDataPacket] = deque()
-        wall_start = time.perf_counter()
-        for index in range(_POOL_CYCLES):
-            # the endpoints' inlined revive-or-adopt fast path, verbatim
-            if free:
-                packet = free.pop()
-                packet._gen = generation[packet._handle]
-                live_cls[packet._handle] = NdpDataPacket
-                pool.reused += 1
-            else:
-                packet = NdpDataPacket.__new__(NdpDataPacket)
-                pool.adopt(packet)
-            _write_data_fields(packet, seqno=index, size=9000)
-            ring.append(packet)
-            if len(ring) > _POOL_WINDOW:
-                pool.release(ring.popleft())
-        while ring:
-            pool.release(ring.popleft())
-        wall = time.perf_counter() - wall_start
-        return PerfResult(
-            scenario="micro_pool_cycle",
-            wall_seconds=wall,
-            events_executed=_POOL_CYCLES,
-            peak_pending_events=_POOL_WINDOW,
-            completed_flows=0,
-            total_flows=0,
-            final_time_ps=0,
-            flow_digest=_digest(
-                pool.constructed, pool.reused, pool.freed, len(pool), pool.live()
-            ),
-        )
-
-    return _best_of(once, repeats)
 
 
 class _Ticker:
@@ -188,7 +108,6 @@ def run_raw_entry(seed: int = 1, repeats: int = MICRO_REPEATS) -> PerfResult:
             final_time_ps=eventlist.now(),
             flow_digest=_digest(
                 fired, eventlist.events_executed, eventlist.now(),
-                eventlist.entry_allocs,
             ),
         )
 
@@ -196,7 +115,7 @@ def run_raw_entry(seed: int = 1, repeats: int = MICRO_REPEATS) -> PerfResult:
 
 
 class _CountingSink:
-    """Terminal route element: counts, then frees the slot (cf. NdpSink)."""
+    """Terminal route element: counts what arrives (cf. NdpSink)."""
 
     __slots__ = ("received", "bytes")
 
@@ -207,7 +126,6 @@ class _CountingSink:
     def receive_packet(self, packet: Packet) -> None:
         self.received += 1
         self.bytes += packet.size
-        packet.release()
 
 
 def _run_queue_drain(scenario: str, packet_bytes: int, repeats: int) -> PerfResult:
@@ -221,24 +139,13 @@ def _run_queue_drain(scenario: str, packet_bytes: int, repeats: int) -> PerfResu
             name="micro-drain",
         )
         route = Route([queue, sink])
-        pool = PacketPool()
-        free = pool.free_list(NdpDataPacket)
-        generation = pool.generation
-        live_cls = pool.live_cls
+        payload = packet_bytes - HEADER_BYTES
         start_events = eventlist.events_executed
         peak_pending = 0
         wall_start = time.perf_counter()
         for burst in range(_DRAIN_BURSTS):
             for index in range(_DRAIN_BURST):
-                if free:
-                    packet = free.pop()
-                    packet._gen = generation[packet._handle]
-                    live_cls[packet._handle] = NdpDataPacket
-                    pool.reused += 1
-                else:
-                    packet = NdpDataPacket.__new__(NdpDataPacket)
-                    pool.adopt(packet)
-                _write_data_fields(packet, seqno=index, size=packet_bytes)
+                packet = NdpDataPacket(1, 0, 1, index, payload)
                 packet.route = route
                 packet.hop = 1  # next element after the queue: the sink
                 queue.receive_packet(packet)
@@ -247,7 +154,6 @@ def _run_queue_drain(scenario: str, packet_bytes: int, repeats: int) -> PerfResu
                 peak_pending = pending
             eventlist.run()
         wall = time.perf_counter() - wall_start
-        assert pool.live() == 0, "queue-drain micro leaked pool slots"
         return PerfResult(
             scenario=scenario,
             wall_seconds=wall,
@@ -259,7 +165,7 @@ def _run_queue_drain(scenario: str, packet_bytes: int, repeats: int) -> PerfResu
             flow_digest=_digest(
                 sink.received, sink.bytes, queue.stats.packets_forwarded,
                 queue.stats.packets_dropped, eventlist.events_executed,
-                eventlist.now(), pool.constructed, pool.reused, pool.freed,
+                eventlist.now(),
             ),
         )
 
@@ -278,7 +184,6 @@ def run_queue_drain_singleton(seed: int = 1, repeats: int = MICRO_REPEATS) -> Pe
 
 #: scenario name -> runner, merged into the perf harness by ``run_perf.py``
 MICRO_SCENARIOS = {
-    "micro_pool_cycle": run_pool_cycle,
     "micro_raw_entry": run_raw_entry,
     "micro_queue_drain_batched": run_queue_drain_batched,
     "micro_queue_drain_singleton": run_queue_drain_singleton,

@@ -46,7 +46,7 @@ from benchmarks.perf.micro import MICRO_SCENARIOS  # noqa: E402
 from benchmarks.perf.scenarios import SCENARIOS  # noqa: E402
 
 #: full benchmark matrix: the seeded scenario runs plus the primitive
-#: micros (pool cycle, raw entries, batched/singleton queue drains)
+#: micros (raw entries, batched/singleton queue drains)
 ALL_SCENARIOS = {**SCENARIOS, **MICRO_SCENARIOS}
 
 BASELINE_PATH = os.path.join(_HERE, "baseline_seed.json")

@@ -46,10 +46,11 @@ SCHEMA = "repro.perf_history"
 #:
 #: * **v1** — the PR 8 layout: the required measurement fields below.
 #: * **v2** — adds the optional allocation metrics ``allocs_per_event`` and
-#:   ``legacy_allocs_per_event`` (the columnar packet core's headline
-#:   numbers).  Optional means exactly that: a v2 record without them is
-#:   valid, and a v1 record (which cannot have them) reads unchanged — the
-#:   reader accepts every version ``<= SCHEMA_VERSION``.
+#:   ``legacy_allocs_per_event`` (of the recycling pools the simulator no
+#:   longer has; nothing writes them now).  Optional means exactly that: a
+#:   record without them is valid, and the committed records that carry
+#:   them still read — the reader accepts every version
+#:   ``<= SCHEMA_VERSION`` and keeps unknown fields.
 #: * **v3** — adds the optional sharded-run metrics
 #:   ``aggregate_events_per_second`` (total events over the slowest shard's
 #:   CPU-busy seconds — the parallel-capacity figure ``shard_scale`` is
@@ -91,10 +92,8 @@ def make_records(
 
     *scenarios* is the ``{name: measurement}`` mapping a perf run produces
     (``PerfResult.as_dict()`` values); per-transport extras (the
-    ``transport_matrix`` sub-digests) are carried along untouched, as are
-    the schema-v2 optional allocation metrics (``allocs_per_event`` /
-    ``legacy_allocs_per_event``) — present when the scenario has a packet
-    pool to count, absent otherwise, never required.
+    ``transport_matrix`` sub-digests) and the optional schema-v3 sharded-run
+    metrics are carried along untouched.
     """
     records = []
     for name, measurement in scenarios.items():

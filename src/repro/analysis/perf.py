@@ -26,7 +26,6 @@ from repro.harness.figures import ArtifactMeta
 __all__ = [
     "HISTORY_ENV",
     "PERF_META",
-    "PERF_ALLOCS_META",
     "PERF_COLUMNS",
     "default_history_path",
     "trajectory_rows",
@@ -40,14 +39,6 @@ HISTORY_ENV = "REPRO_PERF_HISTORY"
 PERF_META = ArtifactMeta(
     "Scheduler throughput trajectory (events/sec per capture)",
     "line", "capture", "events_per_second", series="scenario",
-)
-
-#: chart metadata of the ``perf_allocs`` companion figure: the allocation
-#: trajectory of the same history rows.  Schema-v1 captures predate the
-#: metric and render as gaps, not zeros — Vega-Lite skips null y values
-PERF_ALLOCS_META = ArtifactMeta(
-    "Allocation trajectory (allocations per executed event)",
-    "line", "capture", "allocs_per_event", series="scenario",
 )
 
 #: fixed CSV schema of the trajectory — explicit so an empty history still
@@ -65,8 +56,6 @@ PERF_COLUMNS = (
     "peak_pending_events",
     "completed_flows",
     "total_flows",
-    "allocs_per_event",
-    "legacy_allocs_per_event",
     "flow_digest",
 )
 

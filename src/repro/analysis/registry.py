@@ -175,13 +175,5 @@ REGISTERED_FIGURES: Dict[str, RegisteredFigure] = {
             family=None,
             columns=perf_dashboard.PERF_COLUMNS,
         ),
-        RegisteredFigure(
-            name="perf_allocs",
-            description="allocations/event trajectory per perf scenario",
-            meta=perf_dashboard.PERF_ALLOCS_META,
-            tabulate=_rows_perf,
-            family=None,
-            columns=perf_dashboard.PERF_COLUMNS,
-        ),
     )
 }

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.sim import packet as _packet_mod
-from repro.sim.packet import Packet, PacketPriority, Route
+from repro.sim.packet import Packet, PacketPriority
 from repro.sim.units import HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,15 +50,10 @@ class NdpDataPacket(Packet):
         src_endpoint: Optional["NdpSrc"] = None,
         is_retransmit: bool = False,
     ) -> None:
-        # flattened Packet.__init__: one of these is allocated per transmit,
-        # so the two-frame super() chain is replaced with direct field writes
-        # (the pooled fast path in NdpSrc._transmit bypasses __init__
-        # entirely; this constructor serves tests and unpooled callers)
-        _packet_mod._CONSTRUCTIONS += 1
+        # flattened Packet.__init__: direct field writes, no super() chain.
+        # The per-transmit path (NdpSrc._transmit) skips even this frame: it
+        # calls __new__ and writes every field itself.
         size = payload_bytes + header_bytes
-        self._pool = None
-        self._handle = -1
-        self._gen = 0
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -96,11 +90,7 @@ class NdpControlPacket(Packet):
         data_path_id: int = 0,
         header_bytes: int = HEADER_BYTES,
     ) -> None:
-        # flattened Packet.__init__ (see NdpDataPacket: one per ACK/NACK/PULL)
-        _packet_mod._CONSTRUCTIONS += 1
-        self._pool = None
-        self._handle = -1
-        self._gen = 0
+        # flattened Packet.__init__ (see NdpDataPacket)
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -162,12 +152,3 @@ class NdpPull(NdpControlPacket):
             header_bytes=header_bytes,
         )
         self.pull_counter = pull_counter
-
-
-def make_route_copy(route: Route) -> Route:
-    """Return *route* itself — routes are immutable and safely shared.
-
-    Exists as an explicit extension point: an implementation that mutated
-    routes per packet (e.g. to model label rewriting) would replace this.
-    """
-    return route

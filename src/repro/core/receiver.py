@@ -42,7 +42,6 @@ from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
 from repro.sim.network import NetworkEndpoint
 from repro.sim.packet import Packet, PacketPriority, Route
-from repro.sim.pool import PacketPool
 
 _HIGH = PacketPriority.HIGH
 
@@ -71,10 +70,6 @@ class NdpSink(NetworkEndpoint):
         "acks_sent",
         "nacks_sent",
         "pulls_emitted",
-        "pool",
-        "_ack_free",
-        "_nack_free",
-        "_pull_free",
     )
 
     def __init__(
@@ -89,7 +84,6 @@ class NdpSink(NetworkEndpoint):
         priority: bool = False,
         on_complete: Optional[Callable[["NdpSink"], None]] = None,
         name: Optional[str] = None,
-        pool: Optional[PacketPool] = None,
     ) -> None:
         super().__init__(eventlist, node_id, name or f"ndp-sink-{flow_id}")
         self.flow_id = flow_id
@@ -112,13 +106,6 @@ class NdpSink(NetworkEndpoint):
         self.acks_sent = 0
         self.nacks_sent = 0
         self.pulls_emitted = 0
-        # slot pool for outgoing control packets (shared network-wide when
-        # the harness provides one): the free lists are hoisted so each
-        # emission is a pop + field writes on the fast path
-        self.pool = pool if pool is not None else PacketPool()
-        self._ack_free = self.pool.free_list(NdpAck)
-        self._nack_free = self.pool.free_list(NdpNack)
-        self._pull_free = self.pool.free_list(NdpPull)
         self.pacer.register(self)
 
     # --- wiring -----------------------------------------------------------------
@@ -198,11 +185,6 @@ class NdpSink(NetworkEndpoint):
             self._handle_header(packet)
         else:
             self._handle_data(packet)
-        # the sink consumes every data packet (and trimmed header) delivered
-        # to it; the handlers above never retain a reference
-        pool = packet._pool
-        if pool is not None:
-            pool.release(packet)
 
     def _handle_data(self, packet: NdpDataPacket) -> None:
         self.record.packets_delivered += 1
@@ -210,20 +192,10 @@ class NdpSink(NetworkEndpoint):
         if seqno not in self._received:
             self._received.add(seqno)
             self.record.bytes_delivered += packet.payload_bytes
-        # slot-pool allocation: one ACK per arriving data packet.  Every
-        # protocol-visible field is written (a revived facade carries its
-        # previous life's values); route/hop/send_time are stamped by
-        # _send_control immediately below.
-        pool = self.pool
-        free = self._ack_free
-        if free:
-            ack = free.pop()
-            ack._gen = pool.generation[ack._handle]
-            pool.live_cls[ack._handle] = NdpAck
-            pool.reused += 1
-        else:
-            ack = NdpAck.__new__(NdpAck)
-            pool.adopt(ack)
+        # one ACK per arriving data packet: __new__ plus one write per field
+        # (route/path_id/hop/send_time are stamped by _send_control below)
+        # skips the constructor's call frame and its placeholder writes
+        ack = NdpAck.__new__(NdpAck)
         header_bytes = self.config.header_bytes
         ack.flow_id = self.flow_id
         ack.src = self.node_id
@@ -262,17 +234,8 @@ class NdpSink(NetworkEndpoint):
 
     def _handle_header(self, packet: NdpDataPacket) -> None:
         self.record.headers_received += 1
-        # slot-pool allocation: one NACK per trimmed header (see _handle_data)
-        pool = self.pool
-        free = self._nack_free
-        if free:
-            nack = free.pop()
-            nack._gen = pool.generation[nack._handle]
-            pool.live_cls[nack._handle] = NdpNack
-            pool.reused += 1
-        else:
-            nack = NdpNack.__new__(NdpNack)
-            pool.adopt(nack)
+        # one NACK per trimmed header (allocated as in _handle_data)
+        nack = NdpNack.__new__(NdpNack)
         header_bytes = self.config.header_bytes
         nack.flow_id = self.flow_id
         nack.src = self.node_id
@@ -318,17 +281,8 @@ class NdpSink(NetworkEndpoint):
             return
         self._pull_counter += 1
         self.pulls_emitted += 1
-        # slot-pool allocation: one PULL per pacer grant (see _handle_data)
-        pool = self.pool
-        free = self._pull_free
-        if free:
-            pull = free.pop()
-            pull._gen = pool.generation[pull._handle]
-            pool.live_cls[pull._handle] = NdpPull
-            pool.reused += 1
-        else:
-            pull = NdpPull.__new__(NdpPull)
-            pool.adopt(pull)
+        # one PULL per pacer grant (allocated as in _handle_data)
+        pull = NdpPull.__new__(NdpPull)
         header_bytes = self.config.header_bytes
         counter = self._pull_counter
         pull.flow_id = self.flow_id

@@ -41,7 +41,6 @@ from repro.sim.eventlist import EventList, Timer
 from repro.sim.logger import FlowRecord
 from repro.sim.network import NetworkEndpoint
 from repro.sim.packet import Packet, PacketPriority, Route
-from repro.sim.pool import PacketPool
 
 from repro.core.receiver import NdpSink
 
@@ -82,8 +81,6 @@ class NdpSrc(NetworkEndpoint):
         "_max_pull_gap_ps",
         "_started",
         "_handlers",
-        "pool",
-        "_data_free",
         "packets_sent",
         "acks_received",
         "nacks_received",
@@ -105,7 +102,6 @@ class NdpSrc(NetworkEndpoint):
         on_complete: Optional[Callable[["NdpSrc"], None]] = None,
         record_packet_latencies: bool = False,
         name: Optional[str] = None,
-        pool: Optional[PacketPool] = None,
     ) -> None:
         super().__init__(eventlist, node_id, name or f"ndp-src-{flow_id}")
         if flow_size_bytes <= 0:
@@ -117,10 +113,6 @@ class NdpSrc(NetworkEndpoint):
         self.rng = rng if rng is not None else random.Random(flow_id)
         self.on_complete = on_complete
         self.record_packet_latencies = record_packet_latencies
-        # slot pool for outgoing data packets; shared network-wide when the
-        # harness provides one (sinks revive what other sources freed)
-        self.pool = pool if pool is not None else PacketPool()
-        self._data_free = self.pool.free_list(NdpDataPacket)
 
         self.paths = PathManager(
             routes,
@@ -257,21 +249,10 @@ class NdpSrc(NetworkEndpoint):
             route = self.paths.next_route()
         is_last = seqno == self.total_packets - 1
         payload = self._tail_payload if is_last else self.payload_per_packet
-        # slot-pool allocation (once per transmitted packet): revive a freed
-        # NdpDataPacket facade when one exists, else pay one real allocation
-        # and adopt it.  Every field the protocol reads is written below —
-        # a revived facade still carries its previous life's values
-        # (trimmed/bounced/ECN state included).
-        pool = self.pool
-        free = self._data_free
-        if free:
-            packet = free.pop()
-            packet._gen = pool.generation[packet._handle]
-            pool.live_cls[packet._handle] = NdpDataPacket
-            pool.reused += 1
-        else:
-            packet = NdpDataPacket.__new__(NdpDataPacket)
-            pool.adopt(packet)
+        # once per transmitted packet: __new__ plus one write per field
+        # (route/hop/path_id/send_time at injection below) skips the
+        # constructor's call frame and its placeholder writes
+        packet = NdpDataPacket.__new__(NdpDataPacket)
         size = payload + self.config.header_bytes
         packet.flow_id = self.flow_id
         packet.src = self.node_id
@@ -343,12 +324,6 @@ class NdpSrc(NetworkEndpoint):
             else:
                 raise TypeError(f"NdpSrc received unexpected packet {packet!r}")
         handler(packet)
-        # the source consumes every packet delivered to it (ACK/NACK/PULL
-        # and bounced data); a bounce retransmit builds a fresh packet in
-        # _transmit, so releasing the original here never aliases it
-        pool = packet._pool
-        if pool is not None:
-            pool.release(packet)
 
     def _handle_returned_data(self, packet: NdpDataPacket) -> None:
         if not packet.bounced:

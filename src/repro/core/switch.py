@@ -251,19 +251,14 @@ class NdpSwitchQueue(BaseQueue):
         if packet.is_control():
             self.control_dropped += 1
         self.stats.record_drop(packet.size)
-        packet.release()  # slot pool: a dropped packet dies here
 
     def _purge_backlog(self) -> None:
         # link-down (BaseQueue.sever): both priority queues are lost
         stats = self.stats
         while self._data_queue:
-            packet = self._data_queue.popleft()
-            stats.record_drop(packet.size)
-            packet.release()  # slot pool: dies with the link
+            stats.record_drop(self._data_queue.popleft().size)
         while self._header_queue:
-            packet = self._header_queue.popleft()
-            stats.record_drop(packet.size)
-            packet.release()  # slot pool: dies with the link
+            stats.record_drop(self._header_queue.popleft().size)
         self._data_bytes = 0
         self._header_bytes = 0
         self.queue_bytes = 0
@@ -331,18 +326,7 @@ class NdpSwitchQueue(BaseQueue):
         eventlist = self.eventlist
         when = eventlist._now + delay
         seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
+        entry = [when, seq, None, 0, self._complete_cb, None]
         delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
         if delta <= 0:
             _insort(eventlist._cur_spill, entry)
@@ -384,19 +368,7 @@ class NdpSwitchQueue(BaseQueue):
                     packet.hop = hop + 2
                     when = eventlist._now + nxt.delay_ps
                     seq = eventlist._sequence = eventlist._sequence + 1
-                    pool = eventlist._entry_pool
-                    if pool:
-                        entry = pool.pop()
-                        entry[0] = when
-                        entry[1] = seq
-                        entry[2] = None
-                        entry[3] = 1
-                        entry[4] = elements[hop + 1].receive_packet
-                        entry[5] = packet
-                    else:
-                        eventlist.entry_allocs += 1
-                        entry = [when, seq, None, 1,
-                                 elements[hop + 1].receive_packet, packet]
+                    entry = [when, seq, None, 1, elements[hop + 1].receive_packet, packet]
                     delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
                     if delta <= 0:
                         _insort(eventlist._cur_spill, entry)
@@ -451,18 +423,7 @@ class NdpSwitchQueue(BaseQueue):
                         eventlist.events_executed += 1
                         continue
             seq = eventlist._sequence = eventlist._sequence + 1
-            pool = eventlist._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = when
-                entry[1] = seq
-                entry[2] = None
-                entry[3] = 0
-                entry[4] = self._complete_cb
-                entry[5] = None
-            else:
-                eventlist.entry_allocs += 1
-                entry = [when, seq, None, 0, self._complete_cb, None]
+            entry = [when, seq, None, 0, self._complete_cb, None]
             delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
             if delta <= 0:
                 _insort(eventlist._cur_spill, entry)
@@ -512,7 +473,6 @@ class CpSwitchQueue(BaseQueue):
             is_data = False
         if not is_data and self.queue_bytes + packet.size > self.max_queue_bytes:
             self.stats.record_drop(packet.size)
-            packet.release()  # slot pool: a dropped packet dies here
             return
         if is_data:
             self._data_packets_queued += 1

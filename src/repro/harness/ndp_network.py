@@ -29,7 +29,6 @@ from repro.sim.eventlist import EventList
 from repro.sim.faults import FaultInjector
 from repro.sim.logger import FlowRecord
 from repro.sim.network import PacketSink
-from repro.sim.pool import PacketPool
 from repro.sim.queues import DropTailQueue
 from repro.topology.base import Topology
 from repro.transports.capabilities import TransportCapabilities
@@ -89,10 +88,6 @@ class NdpNetwork:
         self._pacer_factory = pacer_factory
         self._next_flow_id = 0
         self.flows: List[NdpFlow] = []
-        #: network-wide packet slot pool (see :mod:`repro.sim.pool`): data
-        #: packets freed at sinks are revived by sources and vice versa, so
-        #: steady state allocates almost no packet objects
-        self.pool = PacketPool()
         #: optional fault-injection layer; when set, every packet delivered
         #: to a flow endpoint (data to sinks, ACK/NACK/PULL to sources)
         #: passes a FaultPoint tap first.  Bounced (return-to-sender)
@@ -211,7 +206,6 @@ class NdpNetwork:
             rng=random.Random(self.rng.randrange(2**62)),
             on_complete=on_complete,
             record_packet_latencies=record_packet_latencies,
-            pool=self.pool,
         )
         # With a fault injector installed, deliveries to both endpoints pass
         # through a FaultPoint tap (synchronous for untouched packets, so a
@@ -227,7 +221,6 @@ class NdpNetwork:
             config=flow_config,
             rng=random.Random(self.rng.randrange(2**62)),
             priority=priority,
-            pool=self.pool,
         )
         sink_entry: PacketSink = sink if injector is None else injector.tap(sink, self.eventlist)
         # Forward routes terminate at the sink; they can only be finalized once

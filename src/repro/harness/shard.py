@@ -21,10 +21,10 @@ scenarios):
   replica stays passive.  Per-switch trim RNGs are seeded from
   ``(seed, queue name)`` so a switch's trim stream is private to its owner
   shard and independent of which other shards happen to trim.
-* **Marshalled boundary packets.**  Columnar pool handles never cross
+* **Marshalled boundary packets.**  Packet objects never cross
   processes: :class:`~repro.sim.shardlink.ShardEgressPipe` captures the hot
-  packet fields into a primitive tuple and releases the local slot; the
-  receiving shard revives the tuple into its own pool
+  packet fields into a primitive tuple and drops the local packet; the
+  receiving shard rebuilds a packet from the tuple
   (:class:`~repro.sim.shardlink.ShardIngressPipe`) against its identically
   constructed route objects.
 * **Canonical ingress order.**  Each window's ingress batch is sorted by
@@ -63,7 +63,6 @@ from repro.harness.sketch import StreamingSlowdownBins
 from repro.harness.sweep import decode_result, encode_result
 from repro.sim.eventlist import EventList
 from repro.sim.packet import PacketPriority
-from repro.sim.pool import PacketPool
 from repro.sim.queues import DropTailQueue
 from repro.sim.shardlink import ShardEgressPipe, ShardIngressPipe, canonical_entry_key
 from repro.sim.units import microseconds, milliseconds
@@ -384,7 +383,7 @@ class _BounceProxy:
     switch returns the trimmed header to sender, the proxy marshals a
     BOUNCE entry back to the shard that owns the source (delivery time
     ``now + bounce_delay``, which the lookahead validation guarantees is
-    beyond the current window) and retires the local slot.
+    beyond the current window) and drops the local packet.
     """
 
     __slots__ = ("worker",)
@@ -400,7 +399,6 @@ class _BounceProxy:
         )
         dst_shard = worker.partition.owner_of_host(packet.src)
         worker.outbox.append((dst_shard, entry))
-        packet.release()
 
     def receive_packet(self, packet) -> None:  # pragma: no cover - defensive
         raise RuntimeError("bounce proxy only accepts returned-to-sender calls")
@@ -427,7 +425,6 @@ class _ShardWorker:
         self.network = scn.network
         self.partition = scn.partition
         self.horizon_ps = scn.horizon_ps
-        self.pool: PacketPool = self.network.pool
         self.outbox: List[Tuple[int, tuple]] = []
         self._bounce_seq = 0
         self.proxy = _BounceProxy(self)
@@ -485,7 +482,6 @@ class _ShardWorker:
             outbox.append(
                 (dst_shard, _marshal_packet(packet, kind, next_hop, deliver_at, link_seq))
             )
-            packet.release()
 
         return capture
 
@@ -531,11 +527,12 @@ class _ShardWorker:
     def _revive(self, entry: tuple) -> None:
         deliver_at, flow_id, kind, seqno, path_id, is_rtx, next_hop, _link_seq, payload = entry
         flow = self.flows_by_id[flow_id]
-        pool = self.pool
+        # __new__ plus a write to every field: the marshalled values, not
+        # the constructor's defaults, are the packet's state
         if kind in (_KIND_DATA, _KIND_BOUNCE):
             (size, original_size, header_only, priority, send_time,
              syn, last, payload_bytes, ecn_capable, ecn_ce) = payload
-            packet = pool.get(NdpDataPacket)
+            packet = NdpDataPacket.__new__(NdpDataPacket)
             packet.flow_id = flow_id
             packet.src = flow.src_host
             packet.dst = flow.dst_host
@@ -572,7 +569,7 @@ class _ShardWorker:
             self.ingress.deliver(deliver_at, packet)
             return
         cls = _CONTROL_CLS[kind]
-        packet = pool.get(cls)
+        packet = cls.__new__(cls)
         if kind == _KIND_PULL:
             (size, original_size, priority, send_time, data_path_id,
              pull_counter, ecn_capable, ecn_ce) = payload

@@ -26,13 +26,9 @@ All three structures store uniform **six-slot list** entries
 ``[when, seq, obj, gen, callback, arg]``, where ``seq`` is a global
 insertion counter: merging the tiers by ``(when, seq)`` therefore reproduces
 exactly the execution order of the original single-heap implementation.
-Entries are *recycled*: consumed batches return their lists to a bounded
-free pool (:data:`_ENTRY_POOL_CAP`) and the hot-path producers refill them
-in place, so steady-state scheduling allocates nothing.  The
-:attr:`EventList.entry_allocs` counter records pool misses (entries that
-had to be newly allocated) and feeds the ``allocs_per_event`` benchmark
-metric.  Lists, not tuples, because the containers mix recycled and fresh
-entries and Python refuses to order a list against a tuple.
+Every insert builds a fresh entry and refcounting frees it once it has run;
+entries are not recycled (a free list of them measured slower end to end,
+see docs/architecture.md).
 
 The ``obj``/``gen`` slots are overloaded by entry kind:
 
@@ -43,8 +39,8 @@ The ``obj``/``gen`` slots are overloaded by entry kind:
   instead of letting them linger until they surface.
 * **raw entries** (``obj is None``) use ``gen`` as the *call arity*:
   ``0`` → ``callback()`` with ``arg`` unused, ``1`` → ``callback(arg)``
-  with ``arg`` the single positional argument (the ``(callback, handle)``
-  pair of the columnar packet core — no argument tuple exists at all),
+  with ``arg`` the single positional argument (a packet delivery carries
+  the bare packet — no argument tuple exists at all),
   ``2`` → ``callback(*arg)`` with ``arg`` a tuple.
 
 Hot-path producers (queues, pipes, pacers) use :meth:`EventList.schedule_raw`
@@ -74,10 +70,11 @@ timestamp tie a shadow entry always runs after every ordinary entry, which
 is itself deterministic.
 
 :meth:`EventList.run` disables the cyclic garbage collector for its
-duration (restoring the caller's setting on exit): the hot path allocates
-almost nothing once the entry pool and packet pool are warm, so gen-0
-collections are pure overhead, and refcounting still reclaims everything
-the simulator drops.
+duration (restoring the caller's setting on exit): every event allocates a
+scheduler entry and most allocate a packet, none of which form reference
+cycles, so the allocation-count-triggered gen-0 collections would scan
+millions of short-lived objects for nothing.  Refcounting still reclaims
+everything the simulator drops.
 """
 
 from __future__ import annotations
@@ -120,18 +117,12 @@ _COMPACT_MAX_STALE = 1536
 #: for the same picosecond.
 _SHADOW_SEQ_BASE = 1 << 48
 
-#: bound on the recycled-entry free pool.  Large enough to cover the working
-#: set of a dense slot batch, small enough that a pathological burst cannot
-#: pin unbounded garbage.
-_ENTRY_POOL_CAP = 8192
-
 
 def _fmt_args(args: tuple) -> str:
     """Render an argument tuple for the debug reprs.
 
-    Flyweight packets are rendered through their facade ``__repr__`` (which
-    is freed-slot safe — see ``sim/packet.py``); anything whose repr raises
-    degrades to a placeholder instead of poisoning the debugging aid.
+    Anything whose repr raises degrades to a placeholder instead of
+    poisoning the debugging aid.
     """
     parts = []
     for a in args:
@@ -241,18 +232,7 @@ class Timer:
             seq = eventlist._shadow_sequence = eventlist._shadow_sequence + 1
         else:
             seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = self
-            entry[3] = gen
-            entry[4] = self.callback
-            entry[5] = self.args
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, self, gen, self.callback, self.args]
+        entry = [when, seq, self, gen, self.callback, self.args]
         delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
         if delta <= 0:
             _insort(eventlist._cur_spill, entry)
@@ -282,8 +262,8 @@ class Timer:
 
 
 #: entry layout shared by all tiers: ``[when, seq, obj, gen, callback, arg]``
-#: (a recycled six-slot list; see the module docstring for the obj/gen
-#: overloading between cancellable and raw entries)
+#: (see the module docstring for the obj/gen overloading between cancellable
+#: and raw entries)
 _Entry = List[Any]
 
 
@@ -306,8 +286,6 @@ class EventList:
         "_stale",
         "_time_limit",
         "_ff_bound",
-        "_entry_pool",
-        "entry_allocs",
         "events_executed",
     )
 
@@ -341,11 +319,6 @@ class EventList:
         #: at :meth:`run` entry, in :meth:`_advance` and by :meth:`stop`.
         #: Zero while no run is active, so the guard can never pass.
         self._ff_bound: int = 0
-        #: free pool of consumed six-slot entry lists (bounded)
-        self._entry_pool: List[_Entry] = []
-        #: entries newly allocated because the free pool was empty — the
-        #: allocation half of the ``allocs_per_event`` benchmark metric
-        self.entry_allocs: int = 0
         self.events_executed: int = 0
 
     def now(self) -> int:
@@ -383,18 +356,7 @@ class EventList:
                 arg = args
         else:
             arg = args
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = obj
-            entry[3] = gen
-            entry[4] = callback
-            entry[5] = arg
-        else:
-            self.entry_allocs += 1
-            entry = [when, seq, obj, gen, callback, arg]
+        entry = [when, seq, obj, gen, callback, arg]
         delta = (when >> _WHEEL_SHIFT) - self._cursor
         if delta <= 0:
             # lands in the slot being drained: merge into the sorted spill
@@ -474,31 +436,17 @@ class EventList:
         Only the future wheel buckets and the far heap are filtered: entries
         in the slot currently being drained are gone within one slot width of
         simulated time anyway, and skipping them lets the run loop keep plain
-        local views of its batch.  Evicted entry lists go back to the free
-        pool — they are provably unreachable by any other tier.
+        local views of its batch.
         """
-        pool = self._entry_pool
         wheel_removed = 0
         for bucket in self._wheel:
             if not bucket:
                 continue
-            kept = []
-            for e in bucket:
-                obj = e[2]
-                if obj is None or obj._gen == e[3]:
-                    kept.append(e)
-                elif len(pool) < _ENTRY_POOL_CAP:
-                    pool.append(e)
+            kept = [e for e in bucket if e[2] is None or e[2]._gen == e[3]]
             if len(kept) != len(bucket):
                 wheel_removed += len(bucket) - len(kept)
                 bucket[:] = kept
-        kept = []
-        for e in self._far:
-            obj = e[2]
-            if obj is None or obj._gen == e[3]:
-                kept.append(e)
-            elif len(pool) < _ENTRY_POOL_CAP:
-                pool.append(e)
+        kept = [e for e in self._far if e[2] is None or e[2]._gen == e[3]]
         if len(kept) != len(self._far):
             _heapify(kept)
             self._far = kept
@@ -520,25 +468,12 @@ class EventList:
     def _advance(self) -> bool:
         """Move the cursor to the next slot holding entries and sort its batch.
 
-        Only called when the current batch and spill are exhausted, which is
-        the one point where every entry list in both is provably consumed —
-        so this is also where they are recycled into the free pool.  (They
-        must *not* be recycled at dispatch time: ``insort`` bisects over the
-        spill's consumed prefix, and a recycled-and-refilled entry there
-        would corrupt the ordering.)  Returns False when no events remain
-        anywhere.
+        Only called when the current batch and spill are exhausted.  Returns
+        False when no events remain anywhere.
         """
-        pool = self._entry_pool
-        spill = self._cur_spill
-        if spill:
-            pool.extend(spill)
-            spill.clear()  # fully consumed; drop the dead prefix
+        if self._cur_spill:
+            self._cur_spill.clear()  # fully consumed; drop the dead prefix
         self._spill_pos = 0
-        cur = self._cur
-        if cur:
-            pool.extend(cur)
-        if len(pool) > _ENTRY_POOL_CAP:
-            del pool[_ENTRY_POOL_CAP:]  # lazy cap: cheaper than per-batch room math
         far = self._far
         if self._wheel_count == 0:
             if not far:

@@ -271,7 +271,6 @@ class FaultPoint(PacketSink):
         verdict, extra_ps = self.injector.inspect(packet)
         if verdict == DROP:
             self.dropped += 1
-            packet.release()  # slot pool: a dropped packet dies here
             return
         if verdict == DELAY:
             self.delayed += 1

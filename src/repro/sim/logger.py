@@ -4,10 +4,6 @@ These helpers deliberately stay out of the forwarding fast path: queues own a
 :class:`QueueStats` object and bump plain integer counters; experiments that
 need time series (for example the goodput plots of Figure 19) attach a
 :class:`TimeSeriesSampler` which polls a callable at a fixed period.
-
-:func:`describe_packet` is the logging-side debug renderer for flyweight
-packets: it goes through the facade for live packets and through the pool's
-audit columns for freed ones, never reading attributes of a stale handle.
 """
 
 from __future__ import annotations
@@ -16,31 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.eventlist import EventList
-
-
-def describe_packet(packet) -> str:
-    """One-line debug rendering of *packet*, safe on freed flyweights.
-
-    Live packets (pooled or not) render through their facade ``__repr__``.
-    A *freed* flyweight — one whose generation stamp no longer matches its
-    slot (see :mod:`repro.sim.pool`) — must never have its facade attributes
-    read: the slot may already belong to another packet, or the facade may
-    be debug-poisoned.  For those this helper reads the pool's *audit
-    columns* instead, which hold the slot's last on-wire state and are
-    always safe to read, so a log line written after the fact still says
-    what the packet was.
-    """
-    pool = getattr(packet, "_pool", None)
-    if pool is not None and packet._gen != pool.generation[packet._handle]:
-        state = pool.slot_state(packet._handle)
-        header = " hdr" if state["is_header_only"] else ""
-        return (
-            f"{type(packet).__name__}(FREED slot {packet._handle} "
-            f"gen {state['generation']}; last on-wire: "
-            f"flow={state['flow_id']}, seq={state['seqno']}, "
-            f"{state['size']}B{header})"
-        )
-    return repr(packet)
 
 
 @dataclass(slots=True)

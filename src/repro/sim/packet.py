@@ -21,18 +21,6 @@ from repro.sim.units import HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.network import PacketSink
-    from repro.sim.pool import PacketPool
-
-#: Packets constructed through ``__init__`` since interpreter start (pooled
-#: allocations go through ``__new__`` + ``PacketPool.adopt`` and are counted
-#: by the pool instead).  Deterministic — unlike gc counters it is unaffected
-#: by interpreter internals, which matters with gc disabled during runs.
-_CONSTRUCTIONS = 0
-
-
-def construction_count() -> int:
-    """Packets constructed via ``__init__`` so far (monotonic counter)."""
-    return _CONSTRUCTIONS
 
 
 class PacketPriority(enum.IntEnum):
@@ -126,12 +114,6 @@ class Packet:
         "ecn_ce",
         "path_id",
         "send_time",
-        # slot-pool plumbing (see repro.sim.pool): the owning pool, the
-        # integer slot handle, and the generation stamp that detects stale
-        # (freed) facades.  Unpooled packets keep _pool is None.
-        "_pool",
-        "_handle",
-        "_gen",
     )
 
     def __init__(
@@ -147,11 +129,6 @@ class Packet:
     ) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
-        global _CONSTRUCTIONS
-        _CONSTRUCTIONS += 1
-        self._pool = None
-        self._handle = -1
-        self._gen = 0
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -221,31 +198,8 @@ class Packet:
         """True for pure control packets (ACK/NACK/PULL); overridden by subclasses."""
         return False
 
-    # --- slot-pool lifecycle (see repro.sim.pool) ----------------------------
-
-    def release(self) -> None:
-        """Return this packet's slot to its pool (no-op for unpooled packets).
-
-        Called by whoever consumes the packet: the endpoint it was delivered
-        to, or the queue/tap that dropped it.  Releasing a pooled packet
-        twice raises :class:`~repro.sim.pool.PacketPoolError`.
-        """
-        pool = self._pool
-        if pool is not None:
-            pool.release(self)
-
-    def is_freed(self) -> bool:
-        """True if this facade's slot has been released (stale handle)."""
-        pool = self._pool
-        return pool is not None and self._gen != pool.generation[self._handle]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.__class__.__name__
-        pool = self._pool
-        if pool is not None and self._gen != pool.generation[self._handle]:
-            # never read field values through a stale handle: the slot may
-            # already belong to another packet (or be debug-poisoned)
-            return f"{kind}(<freed slot {self._handle}>)"
         extra = " hdr" if self.is_header_only else ""
         return (
             f"{kind}(flow={self.flow_id}, seq={self.seqno}, {self.src}->{self.dst},"

@@ -57,20 +57,9 @@ class Pipe(PacketSink):
         eventlist = self.eventlist
         when = eventlist._now + self.delay_ps
         seq = eventlist._sequence = eventlist._sequence + 1
-        # recycled six-slot entry carrying a bare (callback, packet) pair
-        # (arity 1) — no argument tuple is ever allocated for a delivery
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 1
-            entry[4] = sink.receive_packet
-            entry[5] = packet
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 1, sink.receive_packet, packet]
+        # raw entry of arity 1: the packet is the callback's sole argument,
+        # so no argument tuple is ever allocated for a delivery
+        entry = [when, seq, None, 1, sink.receive_packet, packet]
         delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
         if delta <= 0:
             _insort(eventlist._cur_spill, entry)
@@ -110,7 +99,6 @@ class TappedPipe(Pipe):
         verdict, extra_ps = self.tap(packet)
         if verdict == "drop":
             self.packets_dropped += 1
-            packet.release()  # slot pool: a dropped packet dies here
             return
         if verdict == "delay":
             self.packets_delayed += 1

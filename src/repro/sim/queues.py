@@ -191,14 +191,12 @@ class BaseQueue(PacketSink):
         self._purge_backlog()
         if self._in_service is not None:
             self.stats.record_drop(self._in_service.size)
-            self._in_service.release()  # slot pool: dies with the link
             self._in_service = None  # _complete_service tolerates the gap
         self._paused = True  # directly: not a PFC pause, keep its stats clean
         stats = self.stats
 
         def _drop_on_dead_link(packet: Packet) -> None:
             stats.record_drop(packet.size)
-            packet.release()  # slot pool: dies with the link
 
         self.receive_packet = _drop_on_dead_link  # type: ignore[method-assign]
 
@@ -215,9 +213,7 @@ class BaseQueue(PacketSink):
         fifo = self._fifo
         stats = self.stats
         while fifo:
-            packet = fifo.popleft()
-            stats.record_drop(packet.size)
-            packet.release()  # slot pool: dies with the link
+            stats.record_drop(fifo.popleft().size)
         self.queue_bytes = 0
 
     # --- admission (subclass responsibility) ---------------------------------
@@ -275,18 +271,7 @@ class BaseQueue(PacketSink):
         eventlist = self.eventlist
         when = eventlist._now + delay
         seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
+        entry = [when, seq, None, 0, self._complete_cb, None]
         delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
         if delta <= 0:
             _insort(eventlist._cur_spill, entry)
@@ -316,18 +301,7 @@ class BaseQueue(PacketSink):
         eventlist = self.eventlist
         when = eventlist._now + delay
         seq = eventlist._sequence = eventlist._sequence + 1
-        pool = eventlist._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[2] = None
-            entry[3] = 0
-            entry[4] = self._complete_cb
-            entry[5] = None
-        else:
-            eventlist.entry_allocs += 1
-            entry = [when, seq, None, 0, self._complete_cb, None]
+        entry = [when, seq, None, 0, self._complete_cb, None]
         delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
         if delta <= 0:
             _insort(eventlist._cur_spill, entry)
@@ -374,19 +348,7 @@ class BaseQueue(PacketSink):
                     packet.hop = hop + 2
                     when = eventlist._now + nxt.delay_ps
                     seq = eventlist._sequence = eventlist._sequence + 1
-                    pool = eventlist._entry_pool
-                    if pool:
-                        entry = pool.pop()
-                        entry[0] = when
-                        entry[1] = seq
-                        entry[2] = None
-                        entry[3] = 1
-                        entry[4] = elements[hop + 1].receive_packet
-                        entry[5] = packet
-                    else:
-                        eventlist.entry_allocs += 1
-                        entry = [when, seq, None, 1,
-                                 elements[hop + 1].receive_packet, packet]
+                    entry = [when, seq, None, 1, elements[hop + 1].receive_packet, packet]
                     delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
                     if delta <= 0:
                         _insort(eventlist._cur_spill, entry)
@@ -444,18 +406,7 @@ class BaseQueue(PacketSink):
                         continue
             # something intervenes (or the run is bounded): schedule normally
             seq = eventlist._sequence = eventlist._sequence + 1
-            pool = eventlist._entry_pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = when
-                entry[1] = seq
-                entry[2] = None
-                entry[3] = 0
-                entry[4] = self._complete_cb
-                entry[5] = None
-            else:
-                eventlist.entry_allocs += 1
-                entry = [when, seq, None, 0, self._complete_cb, None]
+            entry = [when, seq, None, 0, self._complete_cb, None]
             delta = (when >> _WHEEL_SHIFT) - eventlist._cursor
             if delta <= 0:
                 _insort(eventlist._cur_spill, entry)
@@ -498,7 +449,6 @@ class DropTailQueue(BaseQueue):
         if self.queue_bytes + size > self.max_queue_bytes:
             self.stats.record_drop(size)
             self._notify_drop(packet)
-            packet.release()  # slot pool: a dropped packet dies here
             return
         if not self._busy and not self._fifo and not self._paused:
             # idle port: serve immediately, skipping the FIFO round-trip.
@@ -549,7 +499,6 @@ class TappedQueue(DropTailQueue):
             self.faults_dropped += 1
             self.stats.record_drop(packet.size)
             self._notify_drop(packet)
-            packet.release()  # slot pool: a dropped packet dies here
             return
         if verdict == "delay":
             self.faults_delayed += 1

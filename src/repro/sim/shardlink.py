@@ -6,11 +6,10 @@ whose endpoints live in different shards is split into two halves:
 * :class:`ShardEgressPipe` replaces the link's :class:`~repro.sim.pipe.Pipe`
   in the *sending* shard.  Instead of scheduling a local delivery it hands
   the departing packet to a capture callback, which marshals the hot packet
-  fields into a primitive tuple (pool handles never cross processes) and
-  releases the local slot.
+  fields into a primitive tuple (packet objects never cross processes).
 * :class:`ShardIngressPipe` is the receiving half: after the window barrier
-  the destination shard revives each marshalled entry into its own packet
-  pool and schedules the delivery at the original arrival time, which the
+  the destination shard rebuilds a packet from each marshalled entry and
+  schedules the delivery at the original arrival time, which the
   conservative lookahead guarantees is still in the shard's future.
 
 Both halves are deliberately *distinct types* from :class:`Pipe`: the
@@ -27,7 +26,7 @@ from repro.sim.eventlist import EventList
 from repro.sim.packet import Packet
 from repro.sim.pipe import Pipe
 
-#: capture(packet, next_hop, deliver_at_ps, link_seq) — marshals and releases
+#: capture(packet, next_hop, deliver_at_ps, link_seq) — marshals the packet
 CaptureFn = Callable[[Packet, int, int, int], None]
 
 

@@ -76,20 +76,19 @@ def assert_no_leaks(network: NdpNetwork) -> None:
     disarmed.  This guards the PR 1 generation-stamped Timer machinery as
     much as the new watchdogs.
 
-    The columnar packet core extends the invariant to slots: once the event
-    list is quiescent no packet can be in flight, so every pool slot must be
-    back on its free list.  A positive ``live()`` count means some path
-    consumed a packet without releasing it — the slot-pool equivalent of a
-    memory leak, invisible to the digest checks because leaked slots never
-    get reused.
+    It also covers packets: once the event list is quiescent no packet can
+    be in flight, so every queue must be empty — no FIFO backlog and no
+    packet in service.  A packet stranded in a queue (a service completion
+    that was never scheduled, a port left paused) is invisible to the
+    digest checks, because the flows it belonged to may still complete
+    through retransmission.
     """
     eventlist = network.eventlist
     assert eventlist.pending_events() == 0
-    pool = network.pool
-    assert pool.live() == 0, (
-        f"{pool.live()} pool slot(s) still live after drain "
-        f"(leaked handles: {pool.live_handles()[:20]})"
-    )
+    stranded = [
+        (queue.name, len(queue)) for queue in network.topology.all_queues() if len(queue)
+    ]
+    assert not stranded, f"packet(s) stranded in queues after drain: {stranded[:20]}"
     for pacer in network._pacers.values():
         assert pacer.outstanding() == 0, f"{pacer.name} holds queued pulls"
         assert not pacer._tick_armed, f"{pacer.name} tick still armed"
