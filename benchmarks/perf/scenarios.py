@@ -278,51 +278,8 @@ def run_transport_matrix(seed: int = 1, repeats: int = 3) -> PerfResult:
     return _best_of(once, repeats)
 
 
-def run_shard_scale(seed: int = 1, repeats: int = 2) -> PerfResult:
-    """Sharded run: 16 workers over 16 disjoint host pairs, 15 MB flows.
-
-    Measures the sharded harness's *aggregate* event capacity: total events
-    over the slowest shard's CPU-busy seconds (``time.process_time`` metered
-    inside each worker).  On a single-core runner the workers time-share, so
-    wall-clock throughput stays near one core's rate while the aggregate
-    figure projects the fabric's parallel capacity — the number a k=16/k=32
-    run on a many-core box is gated on.  The digest is the merged global
-    shard digest, so the determinism check across repetitions covers the
-    whole marshalling/merge pipeline, and fewer repeats are needed because
-    each repetition already runs 16 workers.
-    """
-    from repro.harness.shard import run_sharded
-
-    kwargs = {"pairs": 16, "flows_per_pair": 4, "flow_size_bytes": 15_000_000}
-
-    def once() -> PerfResult:
-        result = run_sharded("pairs", 16, seed=seed, scenario_kwargs=kwargs)
-        return PerfResult(
-            scenario="shard_scale_16x4x15MB",
-            wall_seconds=result.wall_seconds,
-            events_executed=result.events_executed,
-            peak_pending_events=result.peak_pending_events,
-            completed_flows=result.completed_flows,
-            total_flows=result.total_flows,
-            final_time_ps=result.final_time_ps,
-            flow_digest=result.digest,
-            extra={
-                "aggregate_events_per_second": round(
-                    result.aggregate_events_per_second, 1
-                ),
-                "shards": result.num_shards,
-                "windows": result.windows,
-                "boundary_packets": result.boundary_packets,
-                "max_shard_busy_seconds": round(max(result.busy_seconds), 4),
-            },
-        )
-
-    return _best_of(once, repeats)
-
-
 SCENARIOS = {
     "permutation": run_permutation,
     "incast": run_incast,
     "transport_matrix": run_transport_matrix,
-    "shard_scale": run_shard_scale,
 }

@@ -51,12 +51,11 @@ SCHEMA = "repro.perf_history"
 #:   record without them is valid, and the committed records that carry
 #:   them still read — the reader accepts every version
 #:   ``<= SCHEMA_VERSION`` and keeps unknown fields.
-#: * **v3** — adds the optional sharded-run metrics
-#:   ``aggregate_events_per_second`` (total events over the slowest shard's
-#:   CPU-busy seconds — the parallel-capacity figure ``shard_scale`` is
-#:   gated on), ``shards``, ``windows``, ``boundary_packets`` and
-#:   ``max_shard_busy_seconds``.  Present only on scenarios run through the
-#:   shard harness; single-process captures are unchanged.
+#: * **v3** — adds the optional multi-process metrics
+#:   ``aggregate_events_per_second``, ``shards``, ``windows``,
+#:   ``boundary_packets`` and ``max_shard_busy_seconds`` (of the sharded
+#:   harness the simulator no longer has; nothing writes them now).  The
+#:   committed ``shard_scale`` record that carries them still reads.
 SCHEMA_VERSION = 3
 
 #: a lock older than this is assumed to belong to a dead writer
@@ -92,8 +91,7 @@ def make_records(
 
     *scenarios* is the ``{name: measurement}`` mapping a perf run produces
     (``PerfResult.as_dict()`` values); per-transport extras (the
-    ``transport_matrix`` sub-digests) and the optional schema-v3 sharded-run
-    metrics are carried along untouched.
+    ``transport_matrix`` sub-digests) are carried along untouched.
     """
     records = []
     for name, measurement in scenarios.items():

@@ -12,15 +12,6 @@ Usage::
     python -m repro.cli render --out artifacts # every registered figure ->
                                              #   CSV + Vega-Lite + index.html
     python -m repro.cli render fig16 perf --out artifacts --jobs 4
-    python -m repro.cli shard fattree --shards 4 --seed 2   # partitioned run
-    python -m repro.cli shard fattree --shards 2 --reference # + digest diff
-
-The ``shard`` subcommand runs a scenario from
-:mod:`repro.harness.shard` partitioned across ``--shards`` worker
-processes in conservative lookahead-bounded time windows; with
-``--reference`` it re-runs the scenario in a single process and fails
-(exit 1) unless the merged shard digest matches bit-for-bit — the
-determinism smoke check CI runs on every push.
 
 Each experiment name maps to a generator in :mod:`repro.harness.figures`.
 Experiments are decomposed into independent per-point runs (see
@@ -147,19 +138,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--png", action="store_true",
         help="(render only) also rasterize plots, when matplotlib is available",
     )
-    parser.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="(shard only) number of worker processes to partition across",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1,
-        help="(shard only) seed for the sharded scenario",
-    )
-    parser.add_argument(
-        "--reference", action="store_true",
-        help="(shard only) also run the single-process reference and fail "
-        "unless its digest matches the sharded run bit-for-bit",
-    )
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -178,10 +156,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     if args.experiments[0] == "sweep":
         return _run_sweep(args.experiments[1:], args.grid, args.jobs, cache, args.quiet)
-    if args.experiments[0] == "shard":
-        return _run_shard(
-            args.experiments[1:], args.shards, args.seed, args.grid, args.reference
-        )
     if args.grid:
         # shorthand: `load_fct --set load=0.3,0.6` == `sweep load_fct --set ...`
         # (an unknown single name falls through to _run_sweep's usage line,
@@ -318,75 +292,6 @@ def _run_sweep(
             f"(incompatible protocol/family combinations)"
         )
     _print_run_summary(len(all_specs), cache, baseline, started)
-    return 0
-
-
-def _run_shard(
-    positional: List[str],
-    num_shards: int,
-    seed: int,
-    grid_args: List[str],
-    reference: bool,
-) -> int:
-    """Run one sharded scenario; optionally diff against the reference.
-
-    ``--set key=value`` forwards scenario keyword arguments (single values,
-    not sweeps).  With ``--reference``, the same scenario also runs in one
-    process and the merged N-shard digest must match it bit-for-bit — the
-    CI smoke invocation.
-    """
-    from repro.harness.shard import SHARD_SCENARIOS, run_reference, run_sharded
-
-    if len(positional) != 1 or positional[0] not in SHARD_SCENARIOS:
-        known = ", ".join(SHARD_SCENARIOS)
-        print(f"usage: shard SCENARIO [--shards N] [--seed S] [--reference] "
-              f"[--set key=value] (scenarios: {known})", file=sys.stderr)
-        return 2
-    name = positional[0]
-    builder = SHARD_SCENARIOS[name]
-    valid = set(inspect.signature(builder).parameters) - {
-        "eventlist", "num_shards", "seed", "owned_shard"
-    }
-    try:
-        grid = _parse_grid(grid_args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    problems = [key for key in grid if key not in valid]
-    if problems:
-        print(f"unknown parameter(s) for {name}: {', '.join(problems)} "
-              f"(valid: {', '.join(sorted(valid))})", file=sys.stderr)
-        return 2
-    multi = [key for key, values in grid.items() if len(values) != 1]
-    if multi:
-        print(f"shard takes a single value per --set key, got several for: "
-              f"{', '.join(multi)}", file=sys.stderr)
-        return 2
-    kwargs = {key: values[0] for key, values in grid.items()}
-
-    started = time.time()
-    result = run_sharded(name, num_shards, seed=seed, scenario_kwargs=kwargs)
-    print(f"scenario: {name} (seed {seed}, {num_shards} shard(s))")
-    print(f"  digest: {result.digest}")
-    print(f"  windows: {result.windows} (lookahead {result.lookahead_ps} ps)")
-    print(f"  events: {result.events_executed} "
-          f"({result.events_per_second:,.0f} ev/s wall, "
-          f"{result.aggregate_events_per_second:,.0f} ev/s aggregate)")
-    print(f"  flows: {result.completed_flows}/{result.total_flows} complete, "
-          f"{result.boundary_packets} boundary packets")
-    for label, stats in result.slowdown_summary.items():
-        print(f"  slowdown[{label}]: {_summarize(stats)}")
-
-    if reference:
-        reference_digest, _scenario = run_reference(
-            name, seed=seed, scenario_kwargs=kwargs
-        )
-        if reference_digest != result.digest:
-            print(f"DIGEST MISMATCH: reference {reference_digest} != "
-                  f"{num_shards}-shard {result.digest}", file=sys.stderr)
-            return 1
-        print(f"  reference digest matches ({num_shards}-shard == 1-process)")
-    print(f"\ndone in {time.time() - started:.1f} s")
     return 0
 
 
@@ -535,8 +440,6 @@ def _print_catalogue() -> None:
     print("  sweep    run one experiment over a parameter grid (--set key=v1,v2)")
     print("  render   write figure artifacts (CSV + Vega-Lite + index.html) "
           "to --out DIR")
-    print("  shard    run a partitioned multi-process simulation "
-          "(--shards N, --reference to diff against one process)")
 
 
 def _print_result(result: object) -> None:

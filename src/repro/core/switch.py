@@ -242,11 +242,10 @@ class NdpSwitchQueue(BaseQueue):
             packet.bounced = True
             self.headers_bounced += 1
             self.stats.packets_bounced += 1
-            # the endpoint owns the delivery mechanics: an in-process NdpSrc
-            # schedules a raw entry on its own event list, while a sharded
-            # run substitutes a proxy that marshals the bounce back to the
-            # origin shard (see repro.harness.shard)
-            packet.src_endpoint.bounce(packet, self.bounce_delay_ps)
+            # raw entry: a bounce delivery is never cancelled
+            self.eventlist.schedule_raw_in(
+                self.bounce_delay_ps, packet.src_endpoint.receive_packet, (packet,)
+            )
             return
         if packet.is_control():
             self.control_dropped += 1

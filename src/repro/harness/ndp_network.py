@@ -172,16 +172,12 @@ class NdpNetwork:
         record_packet_latencies: bool = False,
         config: Optional[NdpConfig] = None,
         on_complete: Optional[Callable[[NdpSrc], None]] = None,
-        start: bool = True,
     ) -> NdpFlow:
         """Create one NDP transfer of *size_bytes* from *src_host* to *dst_host*.
 
         The sender is scheduled to push its initial window at
         *start_time_ps*; the returned handle exposes both endpoints and their
-        flow records.  Pass ``start=False`` to build the endpoints without
-        arming the sender — sharded runs replicate every flow's object graph
-        in every worker (keeping seeded RNG streams aligned) but only start
-        the sources their shard owns.
+        flow records.
         """
         flow_config = config if config is not None else self.config
         flow_id = self._next_flow_id
@@ -227,8 +223,7 @@ class NdpNetwork:
         # the sink exists, hence the two-step wiring.
         src.set_destination_routes([route.extended(sink_entry) for route in forward_paths])
         src.connect(sink)
-        if start:
-            src.start(start_time_ps)
+        src.start(start_time_ps)
         # flow completion time is measured from when the sender starts pushing
         # (not from the first arrival), so single-packet transfers have a
         # meaningful FCT

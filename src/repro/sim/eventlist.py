@@ -634,22 +634,3 @@ class EventList:
     def run_until(self, when: int, max_events: Optional[int] = None) -> int:
         """Batch-execute every event up to and including *when* (see :meth:`run`)."""
         return self.run(until=when, max_events=max_events)
-
-    def run_window(self, end_ps: int, max_events: Optional[int] = None) -> int:
-        """Execute every event in the half-open window ``[now, end_ps)``.
-
-        The conservative-time shard loop advances all shards window by
-        window: events scheduled at exactly *end_ps* belong to the *next*
-        window (they may be preceded by boundary traffic flushed at the
-        barrier), so this runs strictly-before semantics — ``run(until=
-        end_ps - 1)`` — and then parks the clock at *end_ps* so ingress
-        arrivals at ``when >= end_ps`` remain schedulable.
-        """
-        if end_ps <= self._now:
-            raise ValueError(
-                f"window end {end_ps} not ahead of current time {self._now}"
-            )
-        self.run(until=end_ps - 1, max_events=max_events)
-        if not self._stopped and self._now < end_ps:
-            self._now = end_ps
-        return self._now

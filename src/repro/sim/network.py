@@ -78,16 +78,6 @@ class NetworkEndpoint(PacketSink):
         packet.send_time = self.eventlist._now
         route.elements[0].receive_packet(packet)
 
-    def bounce(self, packet: Packet, delay_ps: int) -> None:
-        """Deliver a returned-to-sender packet back to this endpoint.
-
-        The bouncing switch calls this instead of scheduling delivery
-        itself so that a sharded run can substitute a proxy endpoint that
-        marshals the bounce to the origin shard.  A bounce delivery is
-        never cancelled, so a raw entry suffices.
-        """
-        self.eventlist.schedule_raw_in(delay_ps, self.receive_packet, (packet,))
-
     @abc.abstractmethod
     def receive_packet(self, packet: Packet) -> None:
         """Handle an arriving packet (protocol specific)."""

@@ -218,69 +218,6 @@ class TestBadInputs:
         assert "history has" not in out  # no history claim when skipped
 
 
-def _shard_scenario(aggregate, events_per_second=100_000.0, digest="c" * 64):
-    scenario = _scenario(events_per_second, digest)
-    scenario["aggregate_events_per_second"] = aggregate
-    scenario["shards"] = 16
-    return scenario
-
-
-class TestAggregateGate:
-    def test_floor_violation_fails_without_baseline(self, perf_dir, capsys):
-        # shard_scale has no baseline row yet: the absolute floor still holds
-        report = perf_dir["write"](
-            "agg.json",
-            {"incast": _scenario(100_000.0),
-             "shard_scale": _shard_scenario(999_999.0)},
-        )
-        code, _out, err = _run(perf_dir, capsys, report=report)
-        assert code == check_perf.EXIT_REGRESSION == 1
-        assert (
-            "aggregate floor: shard_scale: 999,999.0 aggregate events/sec "
-            "is below the 1,000,000 floor" in err
-        )
-
-    def test_floor_met_passes(self, perf_dir, capsys):
-        report = perf_dir["write"](
-            "agg-ok.json",
-            {"incast": _scenario(100_000.0),
-             "shard_scale": _shard_scenario(1_000_000.0)},
-        )
-        code, out, err = _run(perf_dir, capsys, report=report)
-        assert code == 0
-        assert "note: scenario 'shard_scale' has no baseline yet" in out
-        assert err == ""
-
-    def test_aggregate_regression_against_baseline(self, perf_dir, capsys):
-        perf_dir["baseline"] = perf_dir["write"](
-            "agg-base.json",
-            {"shard_scale": _shard_scenario(2_600_000.0)},
-        )
-        report = perf_dir["write"](
-            "agg-slow.json",
-            # wall-rate steady, aggregate down 20%: the aggregate column
-            # must be gated independently of events_per_second
-            {"shard_scale": _shard_scenario(2_080_000.0)},
-        )
-        assert _run(perf_dir, capsys, report=report, threshold=0.3)[0] == 0
-        code, _out, err = _run(perf_dir, capsys, report=report, threshold=0.1)
-        assert code == 1
-        assert "aggregate events/sec fell 20.0%" in err
-
-    def test_aggregate_floor_beats_wide_ci_threshold(self, perf_dir, capsys):
-        # cross-machine CI uses --threshold 0.5; the absolute floor is the
-        # backstop that a slow capture cannot slip under
-        perf_dir["baseline"] = perf_dir["write"](
-            "agg-base2.json", {"shard_scale": _shard_scenario(2_600_000.0)}
-        )
-        report = perf_dir["write"](
-            "agg-floor.json", {"shard_scale": _shard_scenario(900_000.0)}
-        )
-        code, _out, err = _run(perf_dir, capsys, report=report, threshold=0.9)
-        assert code == 1
-        assert "aggregate floor:" in err
-
-
 class TestCombinedProblems:
     def test_highest_exit_code_wins_and_all_problems_print(
         self, perf_dir, capsys

@@ -180,6 +180,21 @@ class TestTrajectoryRows:
         assert rows[0]["python"] == "3.11.7" and rows[0]["machine"] == "x86_64"
         assert rows[1]["git_sha"] == "bbb"
 
+    def test_committed_history_still_reads(self, monkeypatch):
+        # the committed file keeps v2 alloc columns and a v3 multi-process
+        # record that nothing writes any more; both must stay readable
+        monkeypatch.delenv(perf.HISTORY_ENV, raising=False)
+        path = perf.default_history_path()
+        records = history.read_history(path)
+        assert {record["schema_version"] for record in records} == {1, 2, 3}
+        assert any("allocs_per_event" in record for record in records)
+        assert any("aggregate_events_per_second" in record for record in records)
+        rows = perf.trajectory_rows()
+        assert len(rows) == len(records)
+        assert [row["scenario"] for row in rows] == [
+            record["scenario"] for record in records
+        ]
+
     def test_missing_history_renders_empty(self, tmp_path, monkeypatch):
         monkeypatch.setenv(perf.HISTORY_ENV, str(tmp_path / "none.jsonl"))
         assert perf.trajectory_rows() == []

@@ -16,14 +16,16 @@ from repro.sim.units import gbps, serialization_time_ps
 
 
 class FakeSender(NetworkEndpoint):
-    """Collects packets bounced back by return-to-sender."""
+    """Collects packets bounced back by return-to-sender, with arrival times."""
 
     def __init__(self, eventlist):
         super().__init__(eventlist, node_id=0, name="fake-sender")
         self.bounced = []
+        self.arrivals = []
 
     def receive_packet(self, packet):
         self.bounced.append(packet)
+        self.arrivals.append(self.eventlist.now())
 
 
 def data_packet(seq, size=9000, src_endpoint=None):
@@ -172,6 +174,37 @@ class TestReturnToSender:
         assert queue.headers_bounced > 0
         assert len(sender.bounced) == queue.headers_bounced
         assert all(p.bounced and p.is_header_only for p in sender.bounced)
+
+    def test_bounce_arrives_exactly_bounce_delay_after_overflow(self, eventlist):
+        sender = FakeSender(eventlist)
+        # always trim the arriving packet, so the overflow that bounces a
+        # header is that packet's own arrival at the queue
+        config = self._tiny_header_queue_config().with_overrides(
+            trim_arriving_probability=1.0
+        )
+        queue = NdpSwitchQueue(eventlist, gbps(10), config, random.Random(9))
+        route = Route([queue, CountingSink()])
+        # arrivals four times faster than the port drains them
+        gap = serialization_time_ps(9000, gbps(10)) // 4
+        pushed_at = {}
+
+        def arrive(packet):
+            pushed_at[packet.seqno] = eventlist.now()
+            packet.set_route(route)
+            packet.send_to_next_hop()
+
+        for seq in range(40):
+            packet = data_packet(seq, src_endpoint=sender)
+            eventlist.schedule_raw(seq * gap, arrive, (packet,))
+        eventlist.run()
+        assert queue.headers_bounced > 1
+        assert len(sender.arrivals) == queue.headers_bounced
+        overflow_times = [pushed_at[packet.seqno] for packet in sender.bounced]
+        assert len(set(overflow_times)) > 1  # bounces from distinct instants
+        assert [
+            arrival - overflow
+            for arrival, overflow in zip(sender.arrivals, overflow_times)
+        ] == [queue.bounce_delay_ps] * queue.headers_bounced
 
     def test_bounce_disabled_drops_headers(self, eventlist):
         config = self._tiny_header_queue_config().with_overrides(return_to_sender=False)

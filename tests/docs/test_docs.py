@@ -60,18 +60,25 @@ def test_rendered_figures_are_documented_and_wired():
     assert check_docs.check_rendered_figures() == []
 
 
-def test_sharded_docs_are_complete():
-    assert check_docs.check_sharded_docs() == []
+def test_backticked_doc_paths_exist():
+    assert check_docs.check_code_paths() == []
 
 
-def test_sharded_check_catches_an_undocumented_scenario(monkeypatch):
-    from repro.harness import shard
-
-    monkeypatch.setitem(shard.SHARD_SCENARIOS, "torus_unwritten", lambda: None)
-    problems = check_docs.check_sharded_docs()
-    assert any(
-        "docs/experiments.md" in p and "torus_unwritten" in p for p in problems
+def test_path_check_catches_a_stale_path(tmp_path, monkeypatch):
+    """A doc naming a deleted module fails; live, glob and node-id spans pass."""
+    (tmp_path / "src" / "repro" / "sim").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "sim" / "eventlist.py").write_text("")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("")
+    (tmp_path / "README.md").write_text(
+        "`sim/eventlist.py`, `repro/sim/eventlist.py`, `tests/test_*.py`, "
+        "`tests/test_x.py::test_y`, `~/.cache/repro`, `a / b`, "
+        "`repro/sim/gone.py`\n"
     )
+    monkeypatch.setattr(check_docs, "ROOT", str(tmp_path))
+    assert check_docs.check_code_paths() == [
+        "README.md: backticked path does not exist -> repro/sim/gone.py"
+    ]
 
 
 def test_figure_check_catches_an_undocumented_or_dangling_figure(monkeypatch):

@@ -18,7 +18,10 @@ Checks, without any network access:
 5. every figure registered in the results-to-figures pipeline
    (``repro.analysis.registry.REGISTERED_FIGURES``) appears in the
    handbook, and every simulation-backed one names a real ``FIGURE_PLANS``
-   family with chart metadata — ``render`` output cannot go undocumented.
+   family with chart metadata — ``render`` output cannot go undocumented;
+6. every backticked path in ``README.md``, ``docs/*.md`` and
+   ``benchmarks/perf/README.md`` exists, so a doc cannot keep naming a
+   deleted module.
 
 Run from anywhere: ``python tools/check_docs.py``.  Exits non-zero and
 prints one line per problem; also exercised by ``tests/docs/test_docs.py``
@@ -27,6 +30,7 @@ and the CI docs job.
 
 from __future__ import annotations
 
+import glob
 import os
 import re
 import sys
@@ -38,6 +42,12 @@ SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules", ".benchmark
 # figure bitmaps that are intentionally not vendored into the repo
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# a pytest node id (``file.py::test``) or a line number (``file.py:110``)
+SUFFIX_RE = re.compile(r"(::.*|:\d+)$")
+#: docs whose backticked paths are checked (globs relative to the root)
+PATH_CHECKED_DOCS = ("README.md", os.path.join("docs", "*.md"),
+                     os.path.join("benchmarks", "perf", "README.md"))
 
 
 def markdown_files() -> List[str]:
@@ -190,53 +200,33 @@ def check_rendered_figures() -> List[str]:
     return problems
 
 
-def check_sharded_docs() -> List[str]:
-    """The sharded-simulation surface must stay documented.
+def check_code_paths() -> List[str]:
+    """Every backticked path in the front-door docs must exist.
 
-    Every scenario in ``repro.harness.shard.SHARD_SCENARIOS`` must appear
-    as a backticked span in the experiments handbook, the handbook must
-    document the ``shard`` CLI subcommand, and the architecture document
-    must keep its "Sharded simulation" section naming the two rules the
-    conformance suite enforces (the lookahead invariant and the
-    digest-merge rule).
+    A code span is taken as a path when it contains ``/`` and no
+    whitespace (commands and prose fractions have spaces or no slash).
+    It resolves against the repo root, ``src/`` or ``src/repro/``;
+    ``::test`` and ``:line`` suffixes are dropped and glob patterns must
+    match at least one file.  Home (``~``), environment (``$``), absolute
+    and URL spans are skipped: they name places outside the checkout.
     """
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    try:
-        from repro.harness.shard import SHARD_SCENARIOS
-    except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro.harness.shard to verify its docs: {error}"]
     problems = []
-    handbook = os.path.join(ROOT, "docs", "experiments.md")
-    architecture = os.path.join(ROOT, "docs", "architecture.md")
-    if not os.path.exists(handbook):
-        return ["docs/experiments.md is missing"]
-    with open(handbook, "r", encoding="utf-8") as fh:
-        handbook_text = fh.read()
-    if "`shard`" not in handbook_text:
-        problems.append(
-            "docs/experiments.md: the `shard` CLI subcommand is undocumented"
-        )
-    for name in SHARD_SCENARIOS:
-        if f"`{name}`" not in handbook_text:
-            problems.append(
-                f"docs/experiments.md: shard scenario {name!r} missing from "
-                f"the handbook"
-            )
-    if not os.path.exists(architecture):
-        return problems + ["docs/architecture.md is missing"]
-    with open(architecture, "r", encoding="utf-8") as fh:
-        architecture_text = fh.read()
-    if "## Sharded simulation" not in architecture_text:
-        problems.append(
-            "docs/architecture.md: the 'Sharded simulation' section is missing"
-        )
-    else:
-        for phrase in ("lookahead", "digest-merge"):
-            if phrase not in architecture_text:
-                problems.append(
-                    f"docs/architecture.md: sharded-simulation section no "
-                    f"longer explains the {phrase} rule"
-                )
+    for doc_glob in PATH_CHECKED_DOCS:
+        for path in sorted(glob.glob(os.path.join(ROOT, doc_glob))):
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            doc = os.path.relpath(path, ROOT)
+            for span in CODE_SPAN_RE.findall(text):
+                if "/" not in span or any(c.isspace() for c in span):
+                    continue
+                if span.startswith(("~", "$", "/")) or "://" in span:
+                    continue
+                target = SUFFIX_RE.sub("", span)
+                if not any(
+                    glob.glob(os.path.join(ROOT, base, target))
+                    for base in ("", "src", os.path.join("src", "repro"))
+                ):
+                    problems.append(f"{doc}: backticked path does not exist -> {span}")
     return problems
 
 
@@ -246,7 +236,7 @@ def main() -> int:
         + check_figure_index()
         + check_experiments_handbook()
         + check_rendered_figures()
-        + check_sharded_docs()
+        + check_code_paths()
     )
     for problem in problems:
         print(problem, file=sys.stderr)

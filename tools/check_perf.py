@@ -6,12 +6,7 @@ Compares the current perf capture against the recorded baseline
 
 * **events/sec regression** — a scenario's throughput fell *strictly more*
   than ``--threshold`` (default 10%) below its baseline (exit 1; a drop of
-  exactly the threshold still passes).  Scenarios that record an
-  ``aggregate_events_per_second`` column (sharded runs: total events over
-  the slowest shard's CPU-busy seconds) are held to the same relative
-  threshold on that column, *plus* an absolute floor — ``shard_scale``
-  must sustain at least 1,000,000 aggregate events/sec, the sharded
-  harness's headline claim, regardless of what the baseline recorded;
+  exactly the threshold still passes);
 * **seeded-digest drift** — a scenario's flow digest no longer matches the
   baseline's, i.e. a change altered seeded packet-level behaviour (exit 3;
   this check is machine-independent and never tolerated);
@@ -61,12 +56,6 @@ EXIT_REGRESSION = 1
 EXIT_DIGEST_DRIFT = 3
 EXIT_MISSING_SCENARIO = 4
 EXIT_BAD_INPUT = 5
-
-#: absolute aggregate-throughput floors (events/sec) by report scenario
-#: name.  CPU-busy-time based, so they hold on any machine class and are
-#: checked whenever the scenario appears in the report — with or without
-#: a baseline.
-AGGREGATE_FLOORS = {"shard_scale": 1_000_000.0}
 
 
 def _load_scenarios(path: str, label: str) -> Tuple[dict, List[Tuple[int, str]]]:
@@ -154,33 +143,8 @@ def check(
                         f"(> {threshold:.0%} allowed): baseline "
                         f"{base_rate:,.1f} -> current {rate:,.1f}",
                     ))
-            base_aggregate = float(
-                reference.get("aggregate_events_per_second", 0.0)
-            )
-            aggregate = float(measured.get("aggregate_events_per_second", 0.0))
-            if base_aggregate > 0:
-                drop = (base_aggregate - aggregate) / base_aggregate
-                if drop > threshold:
-                    problems.append((
-                        EXIT_REGRESSION,
-                        f"regression: {name}: aggregate events/sec fell "
-                        f"{drop:.1%} (> {threshold:.0%} allowed): baseline "
-                        f"{base_aggregate:,.1f} -> current {aggregate:,.1f}",
-                    ))
         for name in sorted(set(current) - set(baseline)):
             notes.append(f"note: scenario {name!r} has no baseline yet")
-        for name, floor in sorted(AGGREGATE_FLOORS.items()):
-            if name not in current:
-                continue
-            aggregate = float(
-                current[name].get("aggregate_events_per_second", 0.0)
-            )
-            if aggregate < floor:
-                problems.append((
-                    EXIT_REGRESSION,
-                    f"aggregate floor: {name}: {aggregate:,.1f} aggregate "
-                    f"events/sec is below the {floor:,.0f} floor",
-                ))
 
     captures = 0
     if history_path is not None:
