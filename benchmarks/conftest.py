@@ -1,8 +1,8 @@
 """Shared helpers for the per-figure benchmark harness.
 
 Every benchmark module reproduces one table or figure of the paper: it runs
-the corresponding generator from :mod:`repro.harness.figures` (timed once via
-pytest-benchmark), prints the regenerated rows, stores headline numbers in
+the corresponding family through :func:`repro.harness.figures.run_family`
+(timed once via pytest-benchmark), prints the regenerated rows, stores headline numbers in
 ``benchmark.extra_info`` and asserts the qualitative "shape" of the result
 (who wins, by roughly what factor) so regressions in the protocol
 implementations are caught.
@@ -10,7 +10,7 @@ implementations are caught.
 Simulation results are shared across the whole pytest session through the
 session-scoped :func:`sim_cache` fixture, and across *sessions* through the
 persistent on-disk result cache (:mod:`repro.harness.sweep`): the first
-request for a given ``(generator, args)`` signature runs the experiment
+request for a given ``(family, args)`` signature runs the experiment
 under benchmark timing, any later request in the same session reuses the
 in-memory result, and a later pytest session — or a ``python -m repro.cli``
 invocation, which shares the same cache records — is served from
@@ -42,13 +42,14 @@ from repro.harness import sweep  # noqa: E402
 class SimResultCache:
     """Session memo of figure results, keyed by call signature.
 
-    Figure generators are deterministic (seeded), so a result computed once
+    Figure families are deterministic (seeded), so a result computed once
     is valid for the rest of the session.  Keys combine the callable's
-    qualified name with the ``repr`` of its arguments; values are returned
-    by reference — benchmark assertions only read them.
+    qualified name with the ``repr`` of its arguments (the family name is
+    the first of them); values are returned by reference — benchmark
+    assertions only read them.
 
-    Persistence across sessions happens one layer down: the generators
-    themselves run their specs through the shared
+    Persistence across sessions happens one layer down: ``run_family``
+    runs the family's specs through the shared
     :class:`repro.harness.sweep.ResultCache` (the same records the CLI
     writes), so a memory miss whose underlying runs are all on disk costs
     milliseconds, not a simulation.  :func:`run_cached` inspects that
@@ -89,7 +90,7 @@ _SESSION_CACHE = SimResultCache()
 @pytest.fixture(scope="session")
 def sim_cache() -> SimResultCache:
     """The per-session simulation-result cache (ROADMAP: stop re-running
-    whole experiments for every figure); the generators underneath it share
+    whole experiments for every figure); the families underneath it share
     the persistent disk cache with ``python -m repro.cli``."""
     return _SESSION_CACHE
 
@@ -104,7 +105,7 @@ def run_cached(benchmark, cache: SimResultCache, function, *args, **kwargs):
 
     The cache source is recorded in ``benchmark.extra_info`` (a cached
     timing reflects lookups, not simulation) so result tables stay honest:
-    ``"hit"`` for a session-memory hit, ``"disk"`` when the generator ran
+    ``"hit"`` for a session-memory hit, ``"disk"`` when the family ran
     but every underlying simulation was served from the persistent sweep
     cache (a previous session or CLI run), ``"miss"`` when at least one
     fresh simulation was executed.

@@ -9,7 +9,7 @@ def test_figure4_latency_cdf(benchmark, sim_cache):
     samples = run_cached(
         benchmark,
         sim_cache,
-        figures.figure4_latency_cdf,
+        figures.run_family, "fig4",
         k=4,
         duration_ps=units.milliseconds(6),
     )

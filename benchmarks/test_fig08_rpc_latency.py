@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_figure8_rpc_latency(benchmark, sim_cache):
-    summary = run_cached(benchmark, sim_cache, figures.figure8_rpc_latency, samples=1000)
+    summary = run_cached(benchmark, sim_cache, figures.run_family, "fig8", samples=1000)
     rows = [{"stack": name, **stats} for name, stats in summary.items()]
     print_table("Figure 8: 1 KB RPC latency (microseconds)", rows)
 

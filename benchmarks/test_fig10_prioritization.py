@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_figure10_prioritization(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.figure10_prioritization)
+    result = run_cached(benchmark, sim_cache, figures.run_family, "fig10")
     print_mapping("Figure 10: 200 KB flow completion time (microseconds)", result)
 
     benchmark.extra_info.update(result)

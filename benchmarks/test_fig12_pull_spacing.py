@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_figure12_pull_spacing(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.figure12_pull_spacing, samples=20_000)
+    result = run_cached(benchmark, sim_cache, figures.run_family, "fig12", samples=20_000)
     rows = [{"packet_bytes": size, **stats} for size, stats in result.items()]
     print_table("Figure 12: pull spacing (microseconds)", rows)
 

@@ -8,7 +8,7 @@ def test_figure13_pull_jitter_incast(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure13_incast_pull_jitter,
+        figures.run_family, "fig13",
         flow_sizes=(15_000, 30_000, 60_000, 90_000, 120_000),
         senders=24,
     )

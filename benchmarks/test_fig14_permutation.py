@@ -9,7 +9,7 @@ def test_figure14_permutation_throughput(benchmark, sim_cache):
     results = run_cached(
         benchmark,
         sim_cache,
-        figures.figure14_permutation_throughput,
+        figures.run_family, "fig14",
         k=4,
         duration_ps=units.milliseconds(2),
     )

@@ -8,7 +8,7 @@ def test_figure16_incast_scaling(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure16_incast_scaling,
+        figures.run_family, "fig16",
         sender_counts=(4, 8, 16, 32),
         protocols=("NDP", "DCTCP", "DCQCN", "MPTCP"),
     )

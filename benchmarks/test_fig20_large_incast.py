@@ -8,7 +8,7 @@ def test_figure20_large_incast(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure20_large_incast,
+        figures.run_family, "fig20",
         sender_counts=(2, 8, 32, 128, 256),
         initial_windows=(1, 10, 23),
     )

@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_figure21_sender_limited(benchmark, sim_cache):
-    result = run_cached(benchmark, sim_cache, figures.figure21_sender_limited)
+    result = run_cached(benchmark, sim_cache, figures.run_family, "fig21")
     print_mapping("Figure 21: achieved throughput (Gb/s)", result)
 
     benchmark.extra_info["total_from_A"] = result["total_from_A"]

@@ -9,7 +9,7 @@ def test_figure23_oversubscribed_web(benchmark, sim_cache):
     rows = run_cached(
         benchmark,
         sim_cache,
-        figures.figure23_oversubscribed_web,
+        figures.run_family, "fig23",
         k=4,
         oversubscription=4.0,
         connections_per_host=(2, 5),

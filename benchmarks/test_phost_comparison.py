@@ -8,7 +8,7 @@ def test_phost_comparison(benchmark, sim_cache):
     result = run_cached(
         benchmark,
         sim_cache,
-        figures.phost_comparison,
+        figures.run_family, "phost",
         incast_senders=24,
         incast_bytes=270_000,
     )

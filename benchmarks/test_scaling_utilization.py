@@ -5,7 +5,7 @@ from repro.harness import figures
 
 
 def test_scaling_utilization(benchmark, sim_cache):
-    rows = run_cached(benchmark, sim_cache, figures.scaling_utilization, ks=(4, 6, 8))
+    rows = run_cached(benchmark, sim_cache, figures.run_family, "scaling", ks=(4, 6, 8))
     print_table("Permutation utilization vs FatTree size (8-packet buffers)", rows)
 
     benchmark.extra_info["util_k4"] = rows[0]["utilization_percent"]

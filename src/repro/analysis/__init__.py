@@ -1,10 +1,10 @@
 """``repro.analysis`` — results-to-figures pipeline and perf dashboard.
 
 The verification surface between cached sweep results and the paper's
-figures: a figure registry (:mod:`repro.analysis.registry`), canonical
-CSV/JSON serialization (:mod:`repro.analysis.canonical`), the artifact
-renderer behind ``python -m repro.cli render``
-(:mod:`repro.analysis.render`), and the perf-history subsystem
+figures: canonical CSV/JSON serialization (:mod:`repro.analysis.canonical`),
+the artifact renderer behind ``python -m repro.cli render``
+(:mod:`repro.analysis.render`, which charts the families that carry a
+:class:`~repro.harness.figures.Chart`), and the perf-history subsystem
 (:mod:`repro.analysis.history`, :mod:`repro.analysis.perf`) that
 ``benchmarks/perf`` appends to and ``tools/check_perf.py`` gates CI on.
 
@@ -20,16 +20,15 @@ from repro.analysis.canonical import (
     flatten_row,
     rows_to_csv,
 )
-from repro.analysis.registry import (
-    REGISTERED_FIGURES,
-    RegisteredFigure,
+from repro.analysis.render import (
+    RenderReport,
     UnknownFigureError,
+    render_figures,
+    rendered_figures,
+    vega_lite_spec,
 )
-from repro.analysis.render import RenderReport, render_figures, vega_lite_spec
 
 __all__ = [
-    "REGISTERED_FIGURES",
-    "RegisteredFigure",
     "RenderReport",
     "UnknownFigureError",
     "canonical_cell",
@@ -37,6 +36,7 @@ __all__ = [
     "canonical_json",
     "flatten_row",
     "render_figures",
+    "rendered_figures",
     "rows_to_csv",
     "vega_lite_spec",
 ]

@@ -21,25 +21,18 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.history import read_history
-from repro.harness.figures import ArtifactMeta
+from repro.harness.figures import Chart, Family
 
 __all__ = [
     "HISTORY_ENV",
-    "PERF_META",
     "PERF_COLUMNS",
+    "PERF_FIGURE",
     "default_history_path",
     "trajectory_rows",
 ]
 
 #: environment variable overriding the history file location
 HISTORY_ENV = "REPRO_PERF_HISTORY"
-
-#: chart metadata of the ``perf`` figure (the analysis registry's only
-#: non-simulation figure — its data source is the history file, not a plan)
-PERF_META = ArtifactMeta(
-    "Scheduler throughput trajectory (events/sec per capture)",
-    "line", "capture", "events_per_second", series="scenario",
-)
 
 #: fixed CSV schema of the trajectory — explicit so an empty history still
 #: yields a well-formed, header-only artifact
@@ -57,6 +50,18 @@ PERF_COLUMNS = (
     "completed_flows",
     "total_flows",
     "flow_digest",
+)
+
+#: the ``perf`` render figure: the one rendered figure with no experiment
+#: family (it is not in ``FAMILIES``) — its rows come from the history file
+PERF_FIGURE = Family(
+    "perf", "events/sec trajectory per perf scenario", plan=None,
+    chart=Chart(
+        "Scheduler throughput trajectory (events/sec per capture)",
+        "line", "capture", "events_per_second",
+        lambda _result: trajectory_rows(),
+        series="scenario", columns=PERF_COLUMNS,
+    ),
 )
 
 

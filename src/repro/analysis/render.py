@@ -1,7 +1,10 @@
-"""Artifact renderer: registered figures -> CSV + Vega-Lite + HTML index.
+"""Artifact renderer: charted figures -> CSV + Vega-Lite + HTML index.
 
 ``render_figures(names, out_dir)`` is the engine behind ``python -m
-repro.cli render``.  For every requested figure it writes
+repro.cli render``.  The figures it knows (:func:`rendered_figures`) are
+the experiment families with a :class:`~repro.harness.figures.Chart`, in
+``FAMILIES`` order, then the ``perf`` dashboard
+(:mod:`repro.analysis.perf`).  For every requested figure it writes
 
 * ``<name>.csv`` — the tabulated rows in canonical form (sorted columns,
   shortest-repr floats, LF endings; see :mod:`repro.analysis.canonical`),
@@ -32,11 +35,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.canonical import canonical_cell, canonical_json, flatten_row, rows_to_csv
-from repro.analysis.registry import REGISTERED_FIGURES, RegisteredFigure, UnknownFigureError
+from repro.analysis.perf import PERF_FIGURE
 from repro.harness import sweep
-from repro.harness.figures import FIGURE_PLANS, ArtifactMeta
+from repro.harness.figures import FAMILIES, FIGURE_PLANS, Chart, Family
 
-__all__ = ["RenderReport", "render_figures", "vega_lite_spec"]
+__all__ = [
+    "RenderReport",
+    "UnknownFigureError",
+    "render_figures",
+    "rendered_figures",
+    "vega_lite_spec",
+]
 
 #: rows shown inline per figure in the HTML index (full data is in the CSV)
 _INDEX_MAX_ROWS = 40
@@ -46,6 +55,27 @@ _VEGA_CDN = (
     '<script src="https://cdn.jsdelivr.net/npm/vega-lite@5"></script>\n'
     '<script src="https://cdn.jsdelivr.net/npm/vega-embed@6"></script>\n'
 )
+
+
+def rendered_figures() -> Dict[str, Family]:
+    """Render name -> figure: charted families in table order, then ``perf``.
+
+    Family-backed names are their ``FAMILIES`` key, so ``repro.cli fig16``
+    and ``repro.cli render fig16`` always talk about the same experiment.
+    """
+    figures = {name: family for name, family in FAMILIES.items()
+               if family.chart is not None}
+    figures[PERF_FIGURE.name] = PERF_FIGURE
+    return figures
+
+
+class UnknownFigureError(ValueError):
+    """Asked to render a figure name :func:`rendered_figures` does not know."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(
+            f"unknown figure {name!r} (registered: {', '.join(rendered_figures())})"
+        )
 
 
 @dataclass
@@ -68,7 +98,7 @@ def render_figures(
     on_result: Optional[Callable[[sweep.RunSpec, int, str], None]] = None,
     png: bool = False,
 ) -> RenderReport:
-    """Render *names* (registry order-preserving) into *out_dir*.
+    """Render *names* (order-preserving) into *out_dir*.
 
     Unknown names raise :class:`UnknownFigureError` before any simulation
     starts.  All family plans are built first and their specs executed in
@@ -77,13 +107,13 @@ def render_figures(
     """
     figures = [_resolve(name) for name in names]
     plans = {
-        figure.name: FIGURE_PLANS[figure.family]()
+        figure.name: FIGURE_PLANS[figure.name]()
         for figure in figures
-        if figure.family is not None
+        if figure.plan is not None
     }
     all_specs: List[sweep.RunSpec] = []
     for figure in figures:
-        if figure.family is not None:
+        if figure.plan is not None:
             all_specs.extend(plans[figure.name].specs)
     spec_results = sweep.run_specs(all_specs, jobs=jobs, cache=cache, on_result=on_result)
 
@@ -92,18 +122,18 @@ def render_figures(
     tables: Dict[str, List[Mapping[str, Any]]] = {}
     offset = 0
     for figure in figures:
-        if figure.family is not None:
+        if figure.plan is not None:
             plan = plans[figure.name]
             assembled = plan.assemble(spec_results[offset:offset + len(plan.specs)])
             offset += len(plan.specs)
         else:
             assembled = None
-        rows = figure.tabulate(assembled)
+        rows = figure.chart.tabulate(assembled)
         tables[figure.name] = rows
         csv_name = f"{figure.name}.csv"
         _write_text(os.path.join(out_dir, csv_name),
-                    rows_to_csv(rows, columns=figure.columns))
-        spec = vega_lite_spec(figure.meta, csv_name)
+                    rows_to_csv(rows, columns=figure.chart.columns))
+        spec = vega_lite_spec(figure.chart, csv_name)
         _write_text(os.path.join(out_dir, f"{figure.name}.vl.json"),
                     canonical_json(spec, indent=2) + "\n")
         report.figures.append(figure.name)
@@ -120,30 +150,30 @@ def render_figures(
     return report
 
 
-def _resolve(name: str) -> RegisteredFigure:
+def _resolve(name: str) -> Family:
     try:
-        return REGISTERED_FIGURES[name]
+        return rendered_figures()[name]
     except KeyError:
         raise UnknownFigureError(name) from None
 
 
-def vega_lite_spec(meta: ArtifactMeta, csv_url: str) -> Dict[str, Any]:
+def vega_lite_spec(chart: Chart, csv_url: str) -> Dict[str, Any]:
     """A Vega-Lite v5 spec plotting the canonical CSV at *csv_url*."""
     encoding: Dict[str, Any] = {
-        "x": {"field": meta.x, "type": meta.x_type,
-              "axis": {"title": meta.x}},
-        "y": {"field": meta.y, "type": "quantitative",
-              "axis": {"title": meta.y}},
+        "x": {"field": chart.x, "type": chart.x_type,
+              "axis": {"title": chart.x}},
+        "y": {"field": chart.y, "type": "quantitative",
+              "axis": {"title": chart.y}},
     }
-    if meta.series is not None:
-        encoding["color"] = {"field": meta.series, "type": "nominal",
-                             "legend": {"title": meta.series}}
-    mark: Any = meta.mark
-    if meta.mark == "line":
+    if chart.series is not None:
+        encoding["color"] = {"field": chart.series, "type": "nominal",
+                             "legend": {"title": chart.series}}
+    mark: Any = chart.mark
+    if chart.mark == "line":
         mark = {"type": "line", "point": True}
     return {
         "$schema": "https://vega.github.io/schema/vega-lite/v5.json",
-        "title": meta.title,
+        "title": chart.title,
         "data": {"url": csv_url, "format": {"type": "csv"}},
         "mark": mark,
         "encoding": encoding,
@@ -157,7 +187,7 @@ def vega_lite_spec(meta: ArtifactMeta, csv_url: str) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _index_html(
-    figures: Sequence[RegisteredFigure],
+    figures: Sequence[Family],
     tables: Mapping[str, List[Mapping[str, Any]]],
 ) -> str:
     """One deterministic page: nav, then per-figure chart mount + table."""
@@ -191,7 +221,7 @@ def _index_html(
         name = html.escape(figure.name)
         rows = tables[figure.name]
         parts.append(f'<section id="{name}">\n')
-        parts.append(f"<h2>{name} — {html.escape(figure.meta.title)}</h2>\n")
+        parts.append(f"<h2>{name} — {html.escape(figure.chart.title)}</h2>\n")
         parts.append(
             f'<p><a href="{name}.csv">{name}.csv</a> · '
             f'<a href="{name}.vl.json">{name}.vl.json</a> · '
@@ -237,7 +267,7 @@ def _html_table(rows: List[Mapping[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 def _render_pngs(
-    figures: Sequence[RegisteredFigure],
+    figures: Sequence[Family],
     tables: Mapping[str, List[Mapping[str, Any]]],
     out_dir: str,
 ) -> tuple:
@@ -251,26 +281,26 @@ def _render_pngs(
         return False, "matplotlib is not installed; skipped PNG rendering"
     for figure in figures:
         flat = [flatten_row(row) for row in tables[figure.name]]
-        meta = figure.meta
+        chart = figure.chart
         fig, axes = plt.subplots(figsize=(6.4, 4.0))
         series: Dict[str, List[tuple]] = {}
         for row in flat:
-            label = str(row.get(meta.series, "")) if meta.series else ""
-            x, y = row.get(meta.x), row.get(meta.y)
+            label = str(row.get(chart.series, "")) if chart.series else ""
+            x, y = row.get(chart.x), row.get(chart.y)
             if x is None or y is None:
                 continue
             series.setdefault(label, []).append((x, y))
         for label in sorted(series):
             xs, ys = zip(*series[label])
-            if meta.mark == "bar":
+            if chart.mark == "bar":
                 axes.bar([str(x) for x in xs], ys, label=label or None)
             else:
                 axes.plot(xs, ys, marker="o", label=label or None)
-        axes.set_title(meta.title)
-        axes.set_xlabel(meta.x)
-        axes.set_ylabel(meta.y)
-        if meta.series:
-            axes.legend(title=meta.series)
+        axes.set_title(chart.title)
+        axes.set_xlabel(chart.x)
+        axes.set_ylabel(chart.y)
+        if chart.series:
+            axes.legend(title=chart.series)
         fig.tight_layout()
         fig.savefig(os.path.join(out_dir, f"{figure.name}.png"))
         plt.close(fig)

@@ -9,11 +9,11 @@ Usage::
     python -m repro.cli fig16 --no-cache     # force a fresh simulation
     python -m repro.cli sweep fig16 --set response_bytes=90000,450000 \\
         --set seed=1,2 --jobs 4              # user-defined parameter grid
-    python -m repro.cli render --out artifacts # every registered figure ->
+    python -m repro.cli render --out artifacts # every charted figure ->
                                              #   CSV + Vega-Lite + index.html
     python -m repro.cli render fig16 perf --out artifacts --jobs 4
 
-Each experiment name maps to a generator in :mod:`repro.harness.figures`.
+Each experiment name is a family of :data:`repro.harness.figures.FAMILIES`.
 Experiments are decomposed into independent per-point runs (see
 :mod:`repro.harness.sweep`): ``--jobs N`` fans those runs across worker
 processes, and results are memoized in a persistent on-disk cache
@@ -27,7 +27,7 @@ The ``sweep`` subcommand runs one experiment over the cartesian product of
 user-supplied parameter values.  ``--set key=v1,v2`` sweeps ``key`` over
 the listed values (each parsed as JSON, so ``--set 'windows=[1,2,4]'``
 passes a list as a *single* value); valid keys are the keyword arguments
-of the experiment's generator.  As a shorthand, ``--set`` with a single
+of the family's plan builder.  As a shorthand, ``--set`` with a single
 experiment name implies ``sweep``::
 
     python -m repro.cli load_fct --set load=0.3,0.6,0.9
@@ -44,14 +44,16 @@ link-severing failure family — are reported as skipped with the reason
 instead of failing the sweep.
 
 The ``render`` subcommand is the results-to-figures pipeline
-(:mod:`repro.analysis`): it materializes each registered figure as a
-canonical CSV plus a Vega-Lite spec and writes one ``index.html`` over
-them all into ``--out DIR``.  Renders consume the same result cache as
-plain runs, and the written artifacts are byte-identical across cold,
-cached and ``--jobs N`` executions (locked down by
-``tests/analysis/test_golden.py``).  The ``perf`` figure charts the
-events/sec trajectory recorded in ``BENCH_history.jsonl`` by
-``benchmarks/perf/run_perf.py``.
+(:mod:`repro.analysis`): it materializes each family that carries a chart,
+at its default parameters, as a canonical CSV plus a Vega-Lite spec and
+writes one ``index.html`` over them all into ``--out DIR``.  Renders
+consume the same result cache as plain runs, and the written artifacts are
+byte-identical across cold, cached and ``--jobs N`` executions (locked
+down by ``tests/analysis/test_golden.py``).  The ``perf`` figure charts
+the events/sec trajectory recorded in ``BENCH_history.jsonl`` by
+``benchmarks/perf/run_perf.py``.  ``--out``/``--png`` apply only to
+``render`` and ``--set`` never does; a misplaced option, or a name given
+twice, exits 2.
 
 See ``docs/experiments.md`` for the catalogue of experiment families, the
 claims they pin and worked invocations.
@@ -66,41 +68,10 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.harness import figures, sweep
 from repro.transports.registry import IncompatibleTransportError
-
-#: experiment name -> (description, callable)
-EXPERIMENTS: Dict[str, tuple[str, Callable[[], object]]] = {
-    "fig2": ("CP congestion collapse vs the NDP switch", figures.figure2_switch_overload),
-    "fig4": ("delivery latency CDF (permutation/random/incast)", figures.figure4_latency_cdf),
-    "fig8": ("1 KB RPC latency across stacks", figures.figure8_rpc_latency),
-    "fig9": ("7:1 incast on the testbed topology", figures.figure9_testbed_incast),
-    "fig10": ("receiver-side prioritization of a short flow", figures.figure10_prioritization),
-    "fig11": ("throughput vs initial window", figures.figure11_initial_window_throughput),
-    "fig12": ("pull spacing distribution", figures.figure12_pull_spacing),
-    "fig13": ("incast FCT with jittered pulls", figures.figure13_incast_pull_jitter),
-    "fig14": ("permutation throughput across protocols", figures.figure14_permutation_throughput),
-    "fig15": ("90 KB FCT with background load", figures.figure15_short_flow_fct),
-    "fig16": ("incast completion vs number of senders", figures.figure16_incast_scaling),
-    "fig17": ("IW / buffer-size sensitivity", figures.figure17_buffer_sensitivity),
-    "fig19": ("collateral damage of an incast (goodput traces)", figures.figure19_collateral_damage),
-    "fig20": ("very large incasts: overhead and RTX mechanisms", figures.figure20_large_incast),
-    "fig21": ("sender-limited traffic throughput table", figures.figure21_sender_limited),
-    "fig22": ("permutation with a degraded core link", figures.figure22_asymmetry),
-    "fig23": ("oversubscribed fabric, web workload", figures.figure23_oversubscribed_web),
-    "phost": ("NDP vs pHost (no trimming)", figures.phost_comparison),  # transport-name-ok: experiment family
-    "scaling": ("permutation utilization vs topology size", figures.scaling_utilization),
-    "uplinks": ("where packets get trimmed (load balancing)", figures.uplink_trimming_study),
-    "failures_degraded": ("permutation FCTs over a degraded core link", figures.failures_degraded),
-    "failures_recovery": ("mid-transfer link failure + recovery timeline", figures.failures_recovery),
-    "failures_klinks": ("permutation FCTs with k core links down", figures.failures_klinks),
-    "load_fct": ("open-loop load sweep: size-binned FCT slowdowns", figures.load_fct_slowdowns),
-    "rpc_deadline": ("partition-aggregate RPCs: SLO-met fraction vs load", figures.rpc_deadline_slo),
-    "coflow_ct": ("K-round shuffle coflows: completion times vs load", figures.coflow_ct_times),
-}
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the requested experiments and print their results."""
@@ -124,7 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=V1,V2,...",
-        dest="grid", help="(sweep only) sweep a generator parameter over values",
+        dest="grid", help="(sweep only) sweep a plan parameter over values",
     )
     parser.add_argument(
         "--quiet", "-q", action="store_true",
@@ -142,6 +113,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
+        return 2
+    misplaced = _misplaced_option(args)
+    if misplaced:
+        print(misplaced, file=sys.stderr)
         return 2
 
     if not args.experiments or args.experiments == ["list"]:
@@ -171,10 +146,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("'all' already selects every experiment; do not combine it "
                   "with other names", file=sys.stderr)
             return 2
-        names = list(EXPERIMENTS)
+        names = list(figures.FAMILIES)
     else:
         names = list(args.experiments)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    if _reject_duplicates(names, "experiment"):
+        return 2
+    unknown = [name for name in names if name not in figures.FAMILIES]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         _print_catalogue()
@@ -206,8 +183,7 @@ def _run_experiments(names: List[str], jobs: int, cache, quiet: bool) -> int:
         plan = plans[name]
         figure_results = results[offset:offset + len(plan.specs)]
         offset += len(plan.specs)
-        description, _generator = EXPERIMENTS[name]
-        print(f"\n### {name} — {description}")
+        print(f"\n### {name} — {figures.FAMILIES[name].description}")
         _print_result(plan.assemble(figure_results))
     _print_run_summary(len(all_specs), cache, baseline, started)
     return 0
@@ -305,13 +281,16 @@ def _run_render(
         print("render requires --out DIR (where to write the artifacts)",
               file=sys.stderr)
         return 2
+    available = analysis.rendered_figures()
     if not names:
-        names = list(analysis.REGISTERED_FIGURES)
-    unknown = [name for name in names if name not in analysis.REGISTERED_FIGURES]
+        names = list(available)
+    if _reject_duplicates(names, "figure"):
+        return 2
+    unknown = [name for name in names if name not in available]
     if unknown:
         print(
             f"unknown figure(s): {', '.join(unknown)} "
-            f"(registered: {', '.join(analysis.REGISTERED_FIGURES)})",
+            f"(registered: {', '.join(available)})",
             file=sys.stderr,
         )
         return 2
@@ -319,9 +298,9 @@ def _run_render(
     started = time.time()
     baseline = _cache_counters(cache)
     total_specs = sum(
-        len(figures.FIGURE_PLANS[figure.family]().specs)
-        for figure in (analysis.REGISTERED_FIGURES[name] for name in names)
-        if figure.family is not None
+        len(figures.FIGURE_PLANS[name]().specs)
+        for name in names
+        if available[name].plan is not None
     )
     progress = None if quiet else _progress_printer(total_specs)
     try:
@@ -342,6 +321,33 @@ def _run_render(
     print(f"index: {os.path.join(report.out_dir, 'index.html')}")
     _print_run_summary(total_specs, cache, baseline, started)
     return 0
+
+
+def _misplaced_option(args: argparse.Namespace) -> Optional[str]:
+    """Why an option cannot apply to the chosen subcommand, or ``None``.
+
+    ``render`` draws each figure at its default parameters, so a ``--set``
+    grid would be silently dropped; ``--out``/``--png`` only configure what
+    ``render`` writes.
+    """
+    if args.experiments[:1] == ["render"]:
+        if args.grid:
+            return ("--set does not apply to render (figures render at their "
+                    "default parameters; use 'sweep' for a grid)")
+        return None
+    for option, given in (("--out", args.out is not None), ("--png", args.png)):
+        if given:
+            return f"{option} only applies to render"
+    return None
+
+
+def _reject_duplicates(names: List[str], kind: str) -> bool:
+    """Print an error and return True if any name is given more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        print(f"{kind}(s) named more than once: {', '.join(repeated)}",
+              file=sys.stderr)
+    return bool(repeated)
 
 
 def _parse_grid(grid_args: List[str]) -> Dict[str, List[Any]]:
@@ -434,8 +440,8 @@ def _print_run_summary(total: int, cache, baseline: tuple[int, int], started: fl
 
 def _print_catalogue() -> None:
     print("available experiments:")
-    for name, (description, _fn) in EXPERIMENTS.items():
-        print(f"  {name:8s} {description}")
+    for name, family in figures.FAMILIES.items():
+        print(f"  {name:8s} {family.description}")
     print("\n  all      run every experiment (combine with --jobs N)")
     print("  sweep    run one experiment over a parameter grid (--set key=v1,v2)")
     print("  render   write figure artifacts (CSV + Vega-Lite + index.html) "

@@ -8,11 +8,13 @@ computes the metrics the paper reports (flow completion times, utilization,
 goodput time series, CDFs).
 
 :mod:`repro.harness.sweep` is the execution layer: figures decompose into
-independent :class:`~repro.harness.sweep.RunSpec` units
-(:data:`repro.harness.figures.FIGURE_PLANS`) that can be fanned across
-worker processes and are memoized in a persistent on-disk result cache
-(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; ``REPRO_NO_CACHE=1``
-disables).  See ``python -m repro.cli all --jobs 4``.
+independent :class:`~repro.harness.sweep.RunSpec` units that can be fanned
+across worker processes and are memoized in a persistent on-disk result
+cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``;
+``REPRO_NO_CACHE=1`` disables).  :data:`repro.harness.figures.FAMILIES`
+names every experiment family once, and
+``figures.run_family(name, **kwargs)`` runs one.  See ``python -m
+repro.cli all --jobs 4``.
 
 Network builders (one per protocol, all exposing ``build`` + ``create_flow``):
 

@@ -1,37 +1,35 @@
-"""Data generators for every figure in the paper's evaluation.
+"""Experiment families for every figure in the paper's evaluation.
 
-Each ``figure*`` function runs the corresponding experiment (at a scale
-suitable for a laptop) and returns plain dictionaries / lists that the
-benchmarks print as the paper's rows and the examples plot or tabulate.
+Each family (at a scale suitable for a laptop) is decomposed into a
+:class:`~repro.harness.sweep.Plan`: a list of independent
+:class:`~repro.harness.sweep.RunSpec` units (one seeded simulator run each —
+a single point of a sweep, one protocol of a comparison) plus an
+``assemble`` step that builds the public rows from the unit results.  The
+``*_plan`` builders expose that decomposition, and :data:`FAMILIES` is the
+one table naming them: CLI name, description, plan builder and, for the
+rendered figures, a :class:`Chart`.
 
-Every figure is decomposed into a :class:`~repro.harness.sweep.Plan`: a list
-of independent :class:`~repro.harness.sweep.RunSpec` units (one seeded
-simulator run each — a single point of a sweep, one protocol of a
-comparison) plus an ``assemble`` step that builds the public rows from the
-unit results.  The ``figure*_plan`` builders expose that decomposition; the
-``figure*`` generators are thin wrappers that execute their plan through
+:func:`run_family` executes a family through
 :func:`~repro.harness.sweep.run_plan`, which consults the persistent result
 cache (``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; disable with
 ``REPRO_NO_CACHE=1``) and can fan the units across worker processes
-(``python -m repro.cli all --jobs 4``).
+(``python -m repro.cli all --jobs 4``).  ``run_family("fig12",
+samples=2000)`` takes the plan builder's keyword arguments, which are also
+what the CLI ``sweep`` subcommand overrides to run user-defined parameter
+grids.
 
 Determinism: every unit is an independent module-level function that builds
 its own :class:`~repro.sim.eventlist.EventList` and seeds its own RNGs, so
 parallel, cached and cold serial executions return bit-identical results
 (see :mod:`repro.harness.sweep` for the normalization contract, and
 ``tests/harness/test_sweep.py`` for the assertion).
-
-``FIGURE_PLANS`` maps every CLI experiment name to its plan builder; plan
-builders accept the same keyword arguments (and defaults) as their
-generator, which is what the CLI ``sweep`` subcommand overrides to run
-user-defined parameter grids.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import NdpConfig
 from repro.core.switch import CpSwitchQueue, NdpSwitchQueue
@@ -102,7 +100,16 @@ def figure2_plan(
     packet_bytes: int = 9000,
     seed: int = 1,
 ) -> Plan:
-    """One spec per (switch kind, flow count) overload run."""
+    """Percent of fair-share goodput under N unresponsive flows.
+
+    Reproduces Figure 2: many constant-rate senders converge on a single
+    10 Gb/s output port served either by an NDP switch queue (dual priority
+    queue, WRR, probabilistic trim) or a CP queue (single FIFO, deterministic
+    trim).  Returns one row per (switch type, flow count) with the mean and
+    worst-10% fair-share percentage.
+
+    One spec per (switch kind, flow count) overload run.
+    """
     cases = [(kind, flows) for kind in (registry.NDP, "CP") for flows in flow_counts]
     specs = [
         RunSpec(
@@ -135,23 +142,6 @@ def figure2_plan(
         return rows
 
     return Plan(specs, assemble)
-
-
-def figure2_switch_overload(
-    flow_counts: Sequence[int] = (4, 16, 64, 128),
-    duration_ps: int = units.milliseconds(20),
-    packet_bytes: int = 9000,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Percent of fair-share goodput under N unresponsive flows.
-
-    Reproduces Figure 2: many constant-rate senders converge on a single
-    10 Gb/s output port served either by an NDP switch queue (dual priority
-    queue, WRR, probabilistic trim) or a CP queue (single FIFO, deterministic
-    trim).  Returns one row per (switch type, flow count) with the mean and
-    worst-10% fair-share percentage.
-    """
-    return run_plan(figure2_plan(flow_counts, duration_ps, packet_bytes, seed))
 
 
 def _run_overload(switch_kind, flows, duration_ps, packet_bytes, seed):
@@ -206,7 +196,14 @@ def figure4_plan(
     duration_ps: int = units.milliseconds(8),
     seed: int = 1,
 ) -> Plan:
-    """One spec per traffic matrix (permutation / random / incast)."""
+    """Per-packet delivery latency (send to sender-side ACK) distributions.
+
+    Returns latency samples in microseconds for three traffic matrices:
+    ``permutation``, ``random`` and ``incast`` (the paper's Figure 4, scaled
+    from a 432-host to a ``k``-ary FatTree).
+
+    One spec per traffic matrix (permutation / random / incast).
+    """
     matrices = ("permutation", "random", "incast")
     specs = [
         RunSpec(
@@ -229,28 +226,6 @@ def figure4_plan(
         return {matrix: samples for matrix, samples in zip(matrices, results)}
 
     return Plan(specs, assemble)
-
-
-def figure4_latency_cdf(
-    k: int = 4,
-    permutation_flow_bytes: int = 3_000_000,
-    incast_senders: int = 15,
-    incast_flow_bytes: int = 135_000,
-    duration_ps: int = units.milliseconds(8),
-    seed: int = 1,
-) -> Dict[str, List[float]]:
-    """Per-packet delivery latency (send to sender-side ACK) distributions.
-
-    Returns latency samples in microseconds for three traffic matrices:
-    ``permutation``, ``random`` and ``incast`` (the paper's Figure 4, scaled
-    from a 432-host to a ``k``-ary FatTree).
-    """
-    return run_plan(
-        figure4_plan(
-            k, permutation_flow_bytes, incast_senders, incast_flow_bytes,
-            duration_ps, seed,
-        )
-    )
 
 
 def _figure4_matrix(
@@ -300,12 +275,6 @@ def _permutation(network, rng):
 # ---------------------------------------------------------------------------
 
 def figure8_plan(samples: int = 500, seed: int = 1) -> Plan:
-    """A single spec: the host-model study shares one simulated network RTT."""
-    specs = [RunSpec("fig8", _figure8_run, dict(samples=samples, seed=seed))]
-    return Plan(specs, lambda results: results[0])
-
-
-def figure8_rpc_latency(samples: int = 500, seed: int = 1) -> Dict[str, Dict[str, float]]:
     """Median/p99 latency of a 1 KB RPC over NDP, TFO and TCP stacks.
 
     The network component (a request and a response over back-to-back
@@ -313,8 +282,11 @@ def figure8_rpc_latency(samples: int = 500, seed: int = 1) -> Dict[str, Dict[str
     :class:`~repro.hosts.processing.HostProcessingModel`, with and without
     deep CPU sleep states, exactly mirroring the two groups of curves in
     Figure 8.
+
+    A single spec: the host-model study shares one simulated network RTT.
     """
-    return run_plan(figure8_plan(samples, seed))
+    specs = [RunSpec("fig8", _figure8_run, dict(samples=samples, seed=seed))]
+    return Plan(specs, lambda results: results[0])
 
 
 def _figure8_run(samples, seed):
@@ -363,7 +335,15 @@ def figure9_plan(
     response_sizes: Sequence[int] = (10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
     seed: int = 1,
 ) -> Plan:
-    """One spec per (protocol, response size) incast run."""
+    """Completion time of a 7-to-1 incast vs response size (NDP vs TCP).
+
+    The topology is the paper's 8-server, six-switch leaf-spine testbed; TCP
+    uses the Linux defaults (handshake, 200 ms minimum RTO), NDP the 1500-byte
+    MTU of the prototype.  Returns one row per response size with the
+    completion time of the last flow and the theoretical optimum.
+
+    One spec per (protocol, response size) incast run.
+    """
     response_sizes = tuple(response_sizes)
     cases = [
         (protocol, size)
@@ -397,20 +377,6 @@ def figure9_plan(
         return rows
 
     return Plan(specs, assemble)
-
-
-def figure9_testbed_incast(
-    response_sizes: Sequence[int] = (10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000),
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Completion time of a 7-to-1 incast vs response size (NDP vs TCP).
-
-    The topology is the paper's 8-server, six-switch leaf-spine testbed; TCP
-    uses the Linux defaults (handshake, 200 ms minimum RTO), NDP the 1500-byte
-    MTU of the prototype.  Returns one row per response size with the
-    completion time of the last flow and the theoretical optimum.
-    """
-    return run_plan(figure9_plan(response_sizes, seed))
 
 
 def _figure9_point(protocol, response_bytes, seed):
@@ -463,7 +429,7 @@ def figure10_plan(
     long_flows: int = 6,
     seed: int = 1,
 ) -> Plan:
-    """One spec per scenario: idle, prioritized, not prioritized."""
+    """One spec per scenario: idle, prioritized, not prioritized (FCTs in us)."""
     cases = [
         ("idle_us", False, False),
         ("with_prioritization_us", True, True),
@@ -491,14 +457,13 @@ def figure10_plan(
     return Plan(specs, assemble)
 
 
-def figure10_prioritization(
-    short_bytes: int = 200_000,
-    long_bytes: int = 2_000_000,
-    long_flows: int = 6,
-    seed: int = 1,
-) -> Dict[str, float]:
-    """FCT of a short flow: idle, prioritized, and not prioritized (in us)."""
-    return run_plan(figure10_plan(short_bytes, long_bytes, long_flows, seed))
+def _rows_fig10(result: Mapping[str, float]) -> List[Mapping[str, Any]]:
+    """Chart rows: ``{"idle_us": v, ...}`` -> one (scenario, fct_us) row per case."""
+    return [
+        {"scenario": label[: -len("_us")] if label.endswith("_us") else label,
+         "fct_us": value}
+        for label, value in result.items()
+    ]
 
 
 def _figure10_case(background, priority, short_bytes, long_bytes, long_flows, seed):
@@ -548,16 +513,6 @@ def figure11_plan(
     return Plan(specs, assemble)
 
 
-def figure11_initial_window_throughput(
-    windows: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    flow_bytes: int = 20_000_000,
-    jittered: bool = False,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Throughput of a back-to-back transfer as a function of the IW."""
-    return run_plan(figure11_plan(windows, flow_bytes, jittered, seed))
-
-
 def _figure11_window(window, flow_bytes, jittered, seed):
     """Unit run: throughput (Gb/s) of one back-to-back transfer at one IW."""
     config = NdpConfig(initial_window_packets=window)
@@ -586,7 +541,10 @@ def figure12_plan(
     samples: int = 5000,
     seed: int = 1,
 ) -> Plan:
-    """A single (pure host-model) spec; exercises the non-string-key codec."""
+    """Pull-spacing distribution (us) for 1500 B and 9000 B packets.
+
+    A single (pure host-model) spec; exercises the non-string-key codec.
+    """
     specs = [
         RunSpec(
             "fig12",
@@ -597,13 +555,11 @@ def figure12_plan(
     return Plan(specs, lambda results: results[0])
 
 
-def figure12_pull_spacing(
-    packet_sizes: Sequence[int] = (1500, 9000),
-    samples: int = 5000,
-    seed: int = 1,
-) -> Dict[int, Dict[str, float]]:
-    """Distribution of pull spacing for 1500 B and 9000 B packets (us)."""
-    return run_plan(figure12_plan(packet_sizes, samples, seed))
+def _rows_fig12(result: Mapping[int, Mapping[str, float]]) -> List[Mapping[str, Any]]:
+    """Chart rows: ``{packet_bytes: {stat: value}}`` -> one row per packet size."""
+    return [
+        {"packet_bytes": size, **result[size]} for size in sorted(result)
+    ]
 
 
 def _figure12_run(packet_sizes, samples, seed):
@@ -655,13 +611,15 @@ def figure13_plan(
     return Plan(specs, assemble)
 
 
-def figure13_incast_pull_jitter(
-    flow_sizes: Sequence[int] = (15_000, 30_000, 60_000, 90_000, 120_000),
-    senders: int = 32,
-    seed: int = 1,
-) -> List[Dict[str, float]]:
-    """Incast completion with perfect vs experimentally-jittered pull spacing."""
-    return run_plan(figure13_plan(flow_sizes, senders, seed))
+def _rows_fig13(result: List[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
+    """Chart rows: wide (perfect_us, experimental_us) -> long (pacer, fct_us)."""
+    rows: List[Mapping[str, Any]] = []
+    for entry in result:
+        rows.append({"flow_kb": entry["flow_kb"], "pacer": "perfect",
+                     "fct_us": entry["perfect_us"]})
+        rows.append({"flow_kb": entry["flow_kb"], "pacer": "experimental",
+                     "fct_us": entry["experimental_us"]})
+    return rows
 
 
 def _incast_fct_with_pacer(size, senders, jittered, seed):
@@ -721,20 +679,6 @@ def figure14_plan(
     return Plan(specs, assemble)
 
 
-def figure14_permutation_throughput(
-    k: int = 4,
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 3,
-    protocol: Optional[str] = None,
-) -> Dict[str, experiment.ThroughputResult]:
-    """Per-flow goodput of a permutation matrix for each protocol."""
-    return run_plan(
-        figure14_plan(k, flow_bytes, duration_ps, protocols, seed, protocol)
-    )
-
-
 def _figure14_protocol(protocol, k, flow_bytes, duration_ps, seed):
     """Unit run: permutation :class:`ThroughputResult` for one protocol."""
     eventlist = EventList()
@@ -757,7 +701,14 @@ def figure15_plan(
     seed: int = 5,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (``protocol`` narrows the set to one for sweeps)."""
+    """FCTs (us) of repeated 90 KB transfers between two otherwise idle hosts.
+
+    Every other host sources long-running background flows to random
+    destinations, loading the fabric; the 90 KB transfers between hosts 0
+    and 1 then measure the queueing those background flows induce.
+
+    One spec per protocol (``protocol`` narrows the set to one for sweeps).
+    """
     if protocol is not None:
         protocols = (protocol,)
     protocols = _resolve_protocols(
@@ -780,30 +731,6 @@ def figure15_plan(
         return {name: fcts for name, fcts in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def figure15_short_flow_fct(
-    k: int = 4,
-    short_bytes: int = 90_000,
-    short_flows: int = 12,
-    background_bytes: int = 50_000_000,
-    background_flows_per_host: int = 2,
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 5,
-    protocol: Optional[str] = None,
-) -> Dict[str, List[float]]:
-    """FCTs (us) of repeated 90 KB transfers between two otherwise idle hosts.
-
-    Every other host sources long-running background flows to random
-    destinations, loading the fabric; the 90 KB transfers between hosts 0
-    and 1 then measure the queueing those background flows induce.
-    """
-    return run_plan(
-        figure15_plan(
-            k, short_bytes, short_flows, background_bytes,
-            background_flows_per_host, protocols, seed, protocol,
-        )
-    )
 
 
 def _figure15_protocol(
@@ -849,7 +776,7 @@ def figure16_plan(
     seed: int = 7,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (sender count, protocol) incast point."""
+    """One spec per (sender count, protocol) incast point; completion in ms."""
     sender_counts = tuple(sender_counts)
     if protocol is not None:
         protocols = (protocol,)
@@ -883,17 +810,22 @@ def figure16_plan(
     return Plan(specs, assemble)
 
 
-def figure16_incast_scaling(
-    sender_counts: Sequence[int] = (4, 8, 16, 32),
-    response_bytes: int = 450_000,
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Last-flow completion time of an incast vs the number of senders (ms)."""
-    return run_plan(
-        figure16_plan(sender_counts, response_bytes, protocols, seed, protocol)
-    )
+def _rows_fig16(result: List[Mapping[str, Any]]) -> List[Mapping[str, Any]]:
+    """Chart rows: wide per-protocol columns -> long (senders, protocol, completion_ms).
+
+    The ``ideal_ms`` bound becomes the pseudo-protocol ``ideal`` so the
+    chart carries the paper's reference line as just another series.
+    """
+    rows: List[Mapping[str, Any]] = []
+    for entry in result:
+        senders = entry["senders"]
+        for key in sorted(entry):
+            if key == "senders":
+                continue
+            protocol = "ideal" if key == "ideal_ms" else key
+            rows.append({"senders": senders, "protocol": protocol,
+                         "completion_ms": entry[key]})
+    return rows
 
 
 def _figure16_point(protocol, senders, response_bytes, seed):
@@ -916,7 +848,13 @@ def figure17_plan(
     duration_ps: int = units.milliseconds(2),
     seed: int = 9,
 ) -> Plan:
-    """One spec per (buffer/MTU configuration, initial window) point."""
+    """Permutation utilization vs IW for several buffer/MTU configurations.
+
+    ``configurations`` is a list of ``(label, buffer_packets, mtu_bytes)``;
+    the default matches the four curves of Figure 17.
+
+    One spec per (buffer/MTU configuration, initial window) point.
+    """
     windows = tuple(windows)
     if configurations is None:
         configurations = (
@@ -956,24 +894,6 @@ def figure17_plan(
     return Plan(specs, assemble)
 
 
-def figure17_buffer_sensitivity(
-    windows: Sequence[int] = (5, 10, 15, 20, 30, 40),
-    configurations: Optional[Sequence[Tuple[str, int, int]]] = None,
-    k: int = 4,
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 9,
-) -> List[Dict[str, float]]:
-    """Permutation utilization vs IW for several buffer/MTU configurations.
-
-    ``configurations`` is a list of ``(label, buffer_packets, mtu_bytes)``;
-    the default matches the four curves of Figure 17.
-    """
-    return run_plan(
-        figure17_plan(windows, configurations, k, flow_bytes, duration_ps, seed)
-    )
-
-
 def _figure17_point(buffer_packets, mtu, window, k, flow_bytes, duration_ps, seed):
     """Unit run: permutation utilization for one buffer/MTU/IW setting."""
     config = NdpConfig(
@@ -1002,7 +922,15 @@ def figure19_plan(
     seed: int = 11,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (``protocol`` narrows the set to one for sweeps)."""
+    """Goodput-vs-time of a long flow while an incast hits a neighbour host.
+
+    Setup of Figure 18: the long flow and the incast target are on the same
+    ToR; the incast starts a few milliseconds into the run.  Returns, per
+    protocol, two time series (``long_flow`` and ``incast``) of goodput in
+    bits/second.
+
+    One spec per protocol (``protocol`` narrows the set to one for sweeps).
+    """
     if protocol is not None:
         protocols = (protocol,)
     protocols = _resolve_protocols(
@@ -1027,30 +955,6 @@ def figure19_plan(
         return {name: series for name, series in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def figure19_collateral_damage(
-    protocols: Optional[Sequence[str]] = None,
-    incast_senders: int = 16,
-    incast_bytes: int = 900_000,
-    sample_period_ps: int = units.microseconds(250),
-    duration_ps: int = units.milliseconds(30),
-    seed: int = 11,
-    protocol: Optional[str] = None,
-) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
-    """Goodput-vs-time of a long flow while an incast hits a neighbour host.
-
-    Setup of Figure 18: the long flow and the incast target are on the same
-    ToR; the incast starts a few milliseconds into the run.  Returns, per
-    protocol, two time series (``long_flow`` and ``incast``) of goodput in
-    bits/second.
-    """
-    return run_plan(
-        figure19_plan(
-            protocols, incast_senders, incast_bytes, sample_period_ps,
-            duration_ps, seed, protocol,
-        )
-    )
 
 
 def _figure19_protocol(
@@ -1128,18 +1032,6 @@ def figure20_plan(
     return Plan(specs, lambda results: list(results))
 
 
-def figure20_large_incast(
-    sender_counts: Sequence[int] = (8, 32, 128, 256),
-    initial_windows: Sequence[int] = (1, 10, 23),
-    packets_per_flow: int = 30,
-    seed: int = 13,
-) -> List[Dict[str, float]]:
-    """Completion-time overhead and retransmission mechanism vs incast size."""
-    return run_plan(
-        figure20_plan(sender_counts, initial_windows, packets_per_flow, seed)
-    )
-
-
 def _figure20_point(initial_window, senders, packets_per_flow, seed):
     """Unit run: one row (overhead + RTX mechanism split) of Figure 20."""
     mtu = 9000
@@ -1179,17 +1071,12 @@ def figure21_plan(
     duration_ps: int = units.milliseconds(4),
     seed: int = 15,
 ) -> Plan:
-    """A single spec: the five flows share one simulator."""
+    """Throughput (Gb/s) of A→{B,C,D,E} plus F→E, as in the Figure 21 table.
+
+    A single spec: the five flows share one simulator.
+    """
     specs = [RunSpec("fig21", _figure21_run, dict(duration_ps=duration_ps, seed=seed))]
     return Plan(specs, lambda results: results[0])
-
-
-def figure21_sender_limited(
-    duration_ps: int = units.milliseconds(4),
-    seed: int = 15,
-) -> Dict[str, float]:
-    """Throughput of A→{B,C,D,E} plus F→E (Gb/s), as in the Figure 21 table."""
-    return run_plan(figure21_plan(duration_ps, seed))
 
 
 def _figure21_run(duration_ps, seed):
@@ -1224,7 +1111,13 @@ def figure22_plan(
     cases: Optional[Sequence[str]] = None,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol/ablation case."""
+    """Permutation throughput with one core↔aggregation link at 1 Gb/s.
+
+    Compares NDP, NDP without the path-penalty scoreboard (the ablation),
+    MPTCP and DCTCP.
+
+    One spec per protocol/ablation case.
+    """
     if protocol is not None:
         cases = (protocol,)
     cases = _resolve_protocols(
@@ -1250,25 +1143,6 @@ def figure22_plan(
     return Plan(specs, assemble)
 
 
-def figure22_asymmetry(
-    k: int = 4,
-    degraded_rate_bps: int = units.gbps(1),
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(3),
-    seed: int = 17,
-    cases: Optional[Sequence[str]] = None,
-    protocol: Optional[str] = None,
-) -> Dict[str, experiment.ThroughputResult]:
-    """Permutation throughput with one core↔aggregation link at 1 Gb/s.
-
-    Compares NDP, NDP without the path-penalty scoreboard (the ablation),
-    MPTCP and DCTCP.
-    """
-    return run_plan(
-        figure22_plan(k, degraded_rate_bps, flow_bytes, duration_ps, seed, cases, protocol)
-    )
-
-
 def _figure22_case(case, k, degraded_rate_bps, flow_bytes, duration_ps, seed):
     """Unit run: permutation throughput with a degraded core link, one case."""
     eventlist = EventList()
@@ -1291,7 +1165,14 @@ def figure23_plan(
     seed: int = 19,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (protocol, load level)."""
+    """FCT distribution of a web-like workload on a 4:1 oversubscribed fabric.
+
+    Closed-loop flow arrivals with Facebook-web flow sizes; one row per
+    (protocol, load level) with median/p99 FCT in us, completed flow count
+    and the fraction of packets trimmed at ToR uplinks (NDP only).
+
+    One spec per (protocol, load level).
+    """
     connections_per_host = tuple(connections_per_host)
     if protocol is not None:
         protocols = (protocol,)
@@ -1312,29 +1193,6 @@ def figure23_plan(
         for name, load in cases
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def figure23_oversubscribed_web(
-    k: int = 4,
-    oversubscription: float = 4.0,
-    connections_per_host: Sequence[int] = (2, 5),
-    duration_ps: int = units.milliseconds(40),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 19,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """FCT distribution of a web-like workload on a 4:1 oversubscribed fabric.
-
-    Closed-loop flow arrivals with Facebook-web flow sizes; one row per
-    (protocol, load level) with median/p99 FCT in us, completed flow count
-    and the fraction of packets trimmed at ToR uplinks (NDP only).
-    """
-    return run_plan(
-        figure23_plan(
-            k, oversubscription, connections_per_host, duration_ps, protocols,
-            seed, protocol,
-        )
-    )
 
 
 def _figure23_point(protocol, connections_per_host, k, oversubscription, duration_ps, seed):
@@ -1391,7 +1249,7 @@ def phost_plan(
     protocols: Optional[Sequence[str]] = None,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol (each runs its incast + permutation pair)."""
+    """One spec per protocol: incast completion (ms) plus permutation utilization."""
     if protocol is not None:
         protocols = (protocol,)
     cases = _resolve_protocols(
@@ -1423,25 +1281,6 @@ def phost_plan(
     return Plan(specs, assemble)
 
 
-def phost_comparison(
-    k: int = 4,
-    incast_senders: int = 24,
-    incast_bytes: int = 270_000,
-    permutation_bytes: int = 100_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 21,
-    protocols: Optional[Sequence[str]] = None,
-    protocol: Optional[str] = None,
-) -> Dict[str, float]:
-    """NDP vs pHost: incast completion (ms) and permutation utilization."""
-    return run_plan(
-        phost_plan(
-            k, incast_senders, incast_bytes, permutation_bytes, duration_ps,
-            seed, protocols, protocol,
-        )
-    )
-
-
 def _phost_case(
     protocol, k, incast_senders, incast_bytes, permutation_bytes, duration_ps, seed
 ):
@@ -1466,7 +1305,14 @@ def uplink_trimming_plan(
     duration_ps: int = units.milliseconds(2),
     seed: int = 23,
 ) -> Plan:
-    """One spec per path-selection mode."""
+    """Fraction of packets trimmed on uplinks: sender permutation vs random ECMP.
+
+    Reproduces the load-balancing claim of §"Congestion Control": with
+    sender-driven path permutation almost nothing is trimmed above the ToR,
+    whereas per-packet random path choice (switch ECMP) trims noticeably more.
+
+    One spec per path-selection mode.
+    """
     modes = ["permutation", "random"]
     specs = [
         RunSpec(
@@ -1482,21 +1328,6 @@ def uplink_trimming_plan(
         return {mode: result for mode, result in zip(modes, results)}
 
     return Plan(specs, assemble)
-
-
-def uplink_trimming_study(
-    k: int = 4,
-    flow_bytes: int = 100_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 23,
-) -> Dict[str, Dict[str, float]]:
-    """Fraction of packets trimmed on uplinks: sender permutation vs random ECMP.
-
-    Reproduces the load-balancing claim of §"Congestion Control": with
-    sender-driven path permutation almost nothing is trimmed above the ToR,
-    whereas per-packet random path choice (switch ECMP) trims noticeably more.
-    """
-    return run_plan(uplink_trimming_plan(k, flow_bytes, duration_ps, seed))
 
 
 def _uplink_mode(mode, k, flow_bytes, duration_ps, seed):
@@ -1526,7 +1357,7 @@ def scaling_plan(
     duration_ps: int = units.milliseconds(2),
     seed: int = 25,
 ) -> Plan:
-    """One spec per topology size."""
+    """One spec per FatTree size (§6.2 'Larger topologies')."""
     ks = tuple(ks)
     specs = [
         RunSpec(
@@ -1537,16 +1368,6 @@ def scaling_plan(
         for k in ks
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def scaling_utilization(
-    ks: Sequence[int] = (4, 6, 8),
-    flow_bytes: int = 200_000_000,
-    duration_ps: int = units.milliseconds(2),
-    seed: int = 25,
-) -> List[Dict[str, float]]:
-    """NDP permutation utilization as the FatTree grows (§6.2 'Larger topologies')."""
-    return run_plan(scaling_plan(ks, flow_bytes, duration_ps, seed))
 
 
 def _scaling_point(k, flow_bytes, duration_ps, seed):
@@ -1587,7 +1408,16 @@ def failures_degraded_plan(
     seed: int = 27,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per transport: permutation FCTs over a degraded-core fabric."""
+    """Permutation FCTs with one core↔agg link degraded, NDP vs ECMP controls.
+
+    The FCT view of Figure 22: every host sends one *finite* transfer over a
+    fabric whose core0↔pod(k-1) link renegotiated down.  NDP's scoreboard
+    steers spraying off the slow path so FCTs stay near the healthy fabric's;
+    per-flow-ECMP TCP/DCTCP flows hashed onto the degraded core are stuck
+    behind it, which shows up in the p99/max columns.
+
+    One spec per transport: permutation FCTs over a degraded-core fabric.
+    """
     if protocol is not None:
         cases = (protocol,)
     cases = _resolve_protocols(
@@ -1607,30 +1437,6 @@ def failures_degraded_plan(
         for case in cases
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def failures_degraded(
-    k: int = 4,
-    degraded_rate_bps: int = units.gbps(1),
-    flow_bytes: int = 1_000_000,
-    timeout_ps: int = units.milliseconds(60),
-    cases: Optional[Sequence[str]] = None,
-    seed: int = 27,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Permutation FCTs with one core↔agg link degraded, NDP vs ECMP controls.
-
-    The FCT view of Figure 22: every host sends one *finite* transfer over a
-    fabric whose core0↔pod(k-1) link renegotiated down.  NDP's scoreboard
-    steers spraying off the slow path so FCTs stay near the healthy fabric's;
-    per-flow-ECMP TCP/DCTCP flows hashed onto the degraded core are stuck
-    behind it, which shows up in the p99/max columns.
-    """
-    return run_plan(
-        failures_degraded_plan(
-            k, degraded_rate_bps, flow_bytes, timeout_ps, cases, seed, protocol
-        )
-    )
 
 
 def _failures_degraded_case(case, k, degraded_rate_bps, flow_bytes, timeout_ps, seed):
@@ -1659,7 +1465,18 @@ def failures_recovery_plan(
     seed: int = 29,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol: goodput timeline through a fail→recover cycle."""
+    """Mid-transfer core-link failure and recovery: aggregate goodput vs time.
+
+    A permutation of finite transfers is mid-flight when the core0↔pod(k-1)
+    cable is cut at ``fail_at_ps`` and spliced back at ``recover_at_ps``
+    (both applied by a :class:`~repro.topology.FabricController` on shadow
+    timers).  Returns, per protocol, the aggregate-goodput time series plus
+    completion counts: NDP dips for one round-trip and recovers as the path
+    manager prunes the dead path; per-flow-ECMP TCP flows on the cut path
+    stall until the link returns.
+
+    One spec per protocol: goodput timeline through a fail→recover cycle.
+    """
     if protocol is not None:
         protocols = (protocol,)
     protocols = _resolve_protocols(
@@ -1684,35 +1501,6 @@ def failures_recovery_plan(
         return {name: result for name, result in zip(protocols, results)}
 
     return Plan(specs, assemble)
-
-
-def failures_recovery(
-    k: int = 4,
-    flow_bytes: int = 4_000_000,
-    fail_at_ps: int = units.milliseconds(1),
-    recover_at_ps: int = units.milliseconds(3),
-    duration_ps: int = units.milliseconds(8),
-    sample_period_ps: int = units.microseconds(100),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 29,
-    protocol: Optional[str] = None,
-) -> Dict[str, Dict[str, object]]:
-    """Mid-transfer core-link failure and recovery: aggregate goodput vs time.
-
-    A permutation of finite transfers is mid-flight when the core0↔pod(k-1)
-    cable is cut at ``fail_at_ps`` and spliced back at ``recover_at_ps``
-    (both applied by a :class:`~repro.topology.FabricController` on shadow
-    timers).  Returns, per protocol, the aggregate-goodput time series plus
-    completion counts: NDP dips for one round-trip and recovers as the path
-    manager prunes the dead path; per-flow-ECMP TCP flows on the cut path
-    stall until the link returns.
-    """
-    return run_plan(
-        failures_recovery_plan(
-            k, flow_bytes, fail_at_ps, recover_at_ps, duration_ps,
-            sample_period_ps, protocols, seed, protocol,
-        )
-    )
 
 
 def _failures_recovery_case(
@@ -1754,7 +1542,17 @@ def failures_klinks_plan(
     seed: int = 31,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per protocol at one ``links_down`` level (sweep via the CLI)."""
+    """Permutation FCTs with *links_down* core cables cut before the run.
+
+    The k-links-down resilience sweep (``python -m repro.cli sweep
+    failures_klinks --set links_down=0,1,2``): cores 0..links_down-1 into
+    pod k-1 are cut, the ECMP groups re-hash over the survivors, then a
+    permutation runs to completion.  Both transports complete (the failures
+    precede flow creation) but with fewer core paths NDP degrades gracefully
+    while per-flow ECMP's collision probability — and tail FCT — climbs.
+
+    One spec per protocol at one ``links_down`` level (sweep via the CLI).
+    """
     core_count = (k // 2) ** 2
     if not 0 <= links_down < core_count:
         raise ValueError(
@@ -1780,31 +1578,6 @@ def failures_klinks_plan(
         for name in protocols
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def failures_klinks(
-    links_down: int = 1,
-    k: int = 4,
-    flow_bytes: int = 500_000,
-    timeout_ps: int = units.milliseconds(40),
-    protocols: Optional[Sequence[str]] = None,
-    seed: int = 31,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Permutation FCTs with *links_down* core cables cut before the run.
-
-    The k-links-down resilience sweep (``python -m repro.cli sweep
-    failures_klinks --set links_down=0,1,2``): cores 0..links_down-1 into
-    pod k-1 are cut, the ECMP groups re-hash over the survivors, then a
-    permutation runs to completion.  Both transports complete (the failures
-    precede flow creation) but with fewer core paths NDP degrades gracefully
-    while per-flow ECMP's collision probability — and tail FCT — climbs.
-    """
-    return run_plan(
-        failures_klinks_plan(
-            links_down, k, flow_bytes, timeout_ps, protocols, seed, protocol
-        )
-    )
 
 
 def _failures_klinks_case(protocol, links_down, k, flow_bytes, timeout_ps, seed):
@@ -1862,7 +1635,21 @@ def load_fct_plan(
     seed: int = 33,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load level, protocol) open-loop run.
+    """Size-binned FCT slowdowns of an open-loop load sweep.
+
+    An empirical flow-size mix (``workload``: ``fbweb`` / ``websearch`` /
+    ``datamining``) arrives Poisson at each target ``load`` (fraction of
+    bisection bandwidth, see :mod:`repro.workloads.openloop`) on a
+    ``fabric`` (``fattree`` with arity ``k``, or ``leafspine``), once per
+    protocol.  Flows arriving in the warmup window are discarded, flows in
+    the measurement window are scored, and the drain window lets stragglers
+    finish.  One row per (load, protocol) with per-size-bin
+    p50/p99/p999 slowdowns (vs :func:`~repro.harness.metrics.
+    ideal_transfer_time_ps`), completion/censoring counts and the seeded
+    arrival-sequence digest (cold, cached and parallel runs must agree
+    bit-for-bit).
+
+    One spec per (load level, protocol) open-loop run.
 
     ``load`` (a single level) overrides ``loads`` (the default sweep), and
     ``protocol`` (a single transport) overrides ``protocols`` — this is what
@@ -1901,45 +1688,6 @@ def load_fct_plan(
         for level, name in cases
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def load_fct_slowdowns(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.5, 0.9),
-    protocols: Optional[Sequence[str]] = None,
-    fabric: str = "fattree",
-    k: int = 4,
-    leaves: int = 4,
-    spines: int = 4,
-    hosts_per_leaf: int = 4,
-    workload: str = "fbweb",
-    matrix: str = "all_to_all",
-    warmup_ps: int = units.milliseconds(1),
-    measure_ps: int = units.milliseconds(2),
-    drain_ps: int = units.milliseconds(2),
-    seed: int = 33,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Size-binned FCT slowdowns of an open-loop load sweep.
-
-    An empirical flow-size mix (``workload``: ``fbweb`` / ``websearch`` /
-    ``datamining``) arrives Poisson at each target ``load`` (fraction of
-    bisection bandwidth, see :mod:`repro.workloads.openloop`) on a
-    ``fabric`` (``fattree`` with arity ``k``, or ``leafspine``), once per
-    protocol.  Flows arriving in the warmup window are discarded, flows in
-    the measurement window are scored, and the drain window lets stragglers
-    finish.  One row per (load, protocol) with per-size-bin
-    p50/p99/p999 slowdowns (vs :func:`~repro.harness.metrics.
-    ideal_transfer_time_ps`), completion/censoring counts and the seeded
-    arrival-sequence digest (cold, cached and parallel runs must agree
-    bit-for-bit).
-    """
-    return run_plan(
-        load_fct_plan(
-            load, loads, protocols, fabric, k, leaves, spines, hosts_per_leaf,
-            workload, matrix, warmup_ps, measure_ps, drain_ps, seed, protocol,
-        )
-    )
 
 
 def _open_loop_base_rtt_ps(topology) -> int:
@@ -2051,7 +1799,17 @@ def rpc_deadline_plan(
     seed: int = 41,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load, protocol) partition-aggregate SLO run.
+    """Fraction of partition-aggregate requests meeting their SLO vs load.
+
+    Seeded open-loop request arrivals (each a frontend scattering
+    ``request_bytes`` to ``fanout`` workers and gathering ``response_bytes``
+    incast responses) on a k=``k`` FatTree, once per (load, protocol).  A
+    request meets its SLO when its slowest leaf delivers within
+    ``deadline_us`` of arrival; censored requests count as misses.  One row
+    per point with SLO fraction, request-latency percentiles, counts and
+    the trace/request digests (cold == cached == parallel, bit-identical).
+
+    One spec per (load, protocol) partition-aggregate SLO run.
 
     ``load`` overrides ``loads`` and ``protocol`` overrides ``protocols``,
     so ``repro.cli sweep rpc_deadline --set load=0.1,0.3 --set
@@ -2085,39 +1843,6 @@ def rpc_deadline_plan(
         for name in protocols
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def rpc_deadline_slo(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.3),
-    protocols: Optional[Sequence[str]] = None,
-    fanout: int = 8,
-    request_bytes: int = 2_000,
-    response_bytes: int = 90_000,
-    deadline_us: float = 1_500.0,
-    k: int = 4,
-    warmup_ps: int = units.microseconds(500),
-    measure_ps: int = units.milliseconds(2),
-    drain_ps: int = units.milliseconds(4),
-    seed: int = 41,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Fraction of partition-aggregate requests meeting their SLO vs load.
-
-    Seeded open-loop request arrivals (each a frontend scattering
-    ``request_bytes`` to ``fanout`` workers and gathering ``response_bytes``
-    incast responses) on a k=``k`` FatTree, once per (load, protocol).  A
-    request meets its SLO when its slowest leaf delivers within
-    ``deadline_us`` of arrival; censored requests count as misses.  One row
-    per point with SLO fraction, request-latency percentiles, counts and
-    the trace/request digests (cold == cached == parallel, bit-identical).
-    """
-    return run_plan(
-        rpc_deadline_plan(
-            load, loads, protocols, fanout, request_bytes, response_bytes,
-            deadline_us, k, warmup_ps, measure_ps, drain_ps, seed, protocol,
-        )
-    )
 
 
 def _rpc_deadline_point(
@@ -2155,8 +1880,16 @@ def coflow_ct_plan(
     seed: int = 43,
     protocol: Optional[str] = None,
 ) -> Plan:
-    """One spec per (load, protocol) shuffle-coflow run (grid conventions as
-    :func:`rpc_deadline_plan`)."""
+    """Coflow completion times of open-loop K-round shuffles vs load.
+
+    Each request is a ``width`` x ``width`` bipartite shuffle repeated for
+    ``rounds`` barrier-separated rounds; its CCT is slowest-leaf delivery
+    minus arrival.  One row per (load, protocol) with size-binned CCT stats
+    (bins shared with the flow-slowdown layer), counts and digests.
+
+    One spec per (load, protocol) shuffle-coflow run (grid conventions as
+    :func:`rpc_deadline_plan`).
+    """
     loads = _validated_loads(load, loads)
     if width < 1 or rounds < 1:
         raise ValueError(f"width and rounds must be >= 1, got {width}x{rounds}")
@@ -2181,35 +1914,6 @@ def coflow_ct_plan(
         for name in protocols
     ]
     return Plan(specs, lambda results: list(results))
-
-
-def coflow_ct_times(
-    load: Optional[float] = None,
-    loads: Sequence[float] = (0.1, 0.3),
-    protocols: Optional[Sequence[str]] = None,
-    width: int = 4,
-    rounds: int = 2,
-    bytes_per_pair: int = 60_000,
-    k: int = 4,
-    warmup_ps: int = units.milliseconds(1),
-    measure_ps: int = units.milliseconds(4),
-    drain_ps: int = units.milliseconds(4),
-    seed: int = 43,
-    protocol: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Coflow completion times of open-loop K-round shuffles vs load.
-
-    Each request is a ``width`` x ``width`` bipartite shuffle repeated for
-    ``rounds`` barrier-separated rounds; its CCT is slowest-leaf delivery
-    minus arrival.  One row per (load, protocol) with size-binned CCT stats
-    (bins shared with the flow-slowdown layer), counts and digests.
-    """
-    return run_plan(
-        coflow_ct_plan(
-            load, loads, protocols, width, rounds, bytes_per_pair, k,
-            warmup_ps, measure_ps, drain_ps, seed, protocol,
-        )
-    )
 
 
 def _coflow_ct_point(
@@ -2283,90 +1987,127 @@ def _service_point(
 
 
 # ---------------------------------------------------------------------------
-# Plan -> artifact metadata (consumed by repro.analysis)
+# The family table
 # ---------------------------------------------------------------------------
 
-class ArtifactMeta(NamedTuple):
-    """How a figure family's tabulated rows become a chart.
+class Chart(NamedTuple):
+    """How a family's assembled result becomes a rendered chart.
 
     The results-to-figures pipeline (:mod:`repro.analysis`) renders every
-    registered figure as a canonical CSV plus a Vega-Lite spec; this tuple
-    carries the chart-level facts that live with the experiment rather than
-    the renderer: what to call it, which columns form the axes, which
-    column splits the series, and the mark type.  ``x_type`` is the
-    Vega-Lite encoding type of the x column (``quantitative`` /
-    ``ordinal`` / ``nominal``).
+    charted family as a canonical CSV plus a Vega-Lite spec.  ``tabulate``
+    turns the assembled result into a flat list of mapping rows (the
+    long-format table the CSV and the chart share); it must be pure, with
+    row order depending only on the result's content.  The remaining
+    fields are the chart-level facts: what to call it, which *tabulated*
+    (flattened) columns form the axes, which column splits the series, and
+    the mark type.  ``x_type`` is the Vega-Lite encoding type of the x
+    column (``quantitative`` / ``ordinal`` / ``nominal``); ``columns``
+    optionally pins the CSV schema, for charts that can legitimately
+    tabulate to zero rows.
     """
 
     title: str
     mark: str
     x: str
     y: str
+    tabulate: Callable[[Any], List[Mapping[str, Any]]]
     series: Optional[str] = None
     x_type: str = "quantitative"
+    columns: Optional[Tuple[str, ...]] = None
 
 
-#: figure family -> chart metadata for the families the analysis layer
-#: renders (see ``repro.analysis.registry`` for the row tabulators; the two
-#: registries are cross-checked by ``tests/analysis``).  Column names refer
-#: to the *tabulated* (flattened) CSV columns, not the raw result keys.
-FIGURE_META: Dict[str, ArtifactMeta] = {
-    "fig10": ArtifactMeta(
-        "Short-flow FCT with receiver-side prioritization",
-        "bar", "scenario", "fct_us", x_type="nominal",
-    ),
-    "fig11": ArtifactMeta(
-        "Throughput vs initial window (back-to-back hosts)",
-        "line", "initial_window", "throughput_gbps",
-    ),
-    "fig12": ArtifactMeta(
-        "Pull-spacing distribution of the experimental pacer",
-        "bar", "packet_bytes", "median_us", x_type="ordinal",
-    ),
-    "fig13": ArtifactMeta(
-        "Incast FCT with perfect vs jittered pull spacing",
-        "line", "flow_kb", "fct_us", series="pacer",
-    ),
-    "fig16": ArtifactMeta(
-        "Incast completion time vs number of senders",
-        "line", "senders", "completion_ms", series="protocol",
-    ),
-    "load_fct": ArtifactMeta(
-        "p99 FCT slowdown vs offered load (open-loop)",
-        "line", "load", "slowdown.all.p99", series="protocol",
-    ),
+class Family(NamedTuple):
+    """One experiment family: CLI name, one-line description, plan builder.
+
+    ``plan`` returns a :class:`~repro.harness.sweep.Plan`; its keyword
+    arguments are what ``python -m repro.cli sweep`` overrides.  Families
+    with a ``chart`` are the simulation-backed figures of ``repro.cli
+    render``.  The ``perf`` render figure (:mod:`repro.analysis.perf`)
+    reuses this record with ``plan=None``: its rows come from the perf
+    history, not a simulation, and it is not in :data:`FAMILIES`.
+    """
+
+    name: str
+    description: str
+    plan: Optional[Callable[..., Plan]]
+    chart: Optional[Chart] = None
+
+
+#: every experiment family, in catalogue order (``repro.cli list``, ``all``
+#: and ``render``).  Names and plan keyword arguments are sweep-cache keys.
+FAMILIES: Dict[str, Family] = {
+    family.name: family
+    for family in (
+        Family("fig2", "CP congestion collapse vs the NDP switch", figure2_plan),
+        Family("fig4", "delivery latency CDF (permutation/random/incast)", figure4_plan),
+        Family("fig8", "1 KB RPC latency across stacks", figure8_plan),
+        Family("fig9", "7:1 incast on the testbed topology", figure9_plan),
+        Family(
+            "fig10", "short-flow FCT: idle vs prioritized vs not", figure10_plan,
+            Chart("Short-flow FCT with receiver-side prioritization",
+                  "bar", "scenario", "fct_us", _rows_fig10, x_type="nominal"),
+        ),
+        Family(
+            "fig11", "throughput vs initial window", figure11_plan,
+            # already long-format (initial_window, throughput_gbps) rows
+            Chart("Throughput vs initial window (back-to-back hosts)",
+                  "line", "initial_window", "throughput_gbps", list),
+        ),
+        Family(
+            "fig12", "pull-spacing percentiles per packet size", figure12_plan,
+            Chart("Pull-spacing distribution of the experimental pacer",
+                  "bar", "packet_bytes", "median_us", _rows_fig12, x_type="ordinal"),
+        ),
+        Family(
+            "fig13", "incast FCT, perfect vs jittered pulls", figure13_plan,
+            Chart("Incast FCT with perfect vs jittered pull spacing",
+                  "line", "flow_kb", "fct_us", _rows_fig13, series="pacer"),
+        ),
+        Family("fig14", "permutation throughput across protocols", figure14_plan),
+        Family("fig15", "90 KB FCT with background load", figure15_plan),
+        Family(
+            "fig16", "incast scaling across protocols", figure16_plan,
+            Chart("Incast completion time vs number of senders",
+                  "line", "senders", "completion_ms", _rows_fig16, series="protocol"),
+        ),
+        Family("fig17", "IW / buffer-size sensitivity", figure17_plan),
+        Family("fig19", "collateral damage of an incast (goodput traces)", figure19_plan),
+        Family("fig20", "very large incasts: overhead and RTX mechanisms", figure20_plan),
+        Family("fig21", "sender-limited traffic throughput table", figure21_plan),
+        Family("fig22", "permutation with a degraded core link", figure22_plan),
+        Family("fig23", "oversubscribed fabric, web workload", figure23_plan),
+        Family("phost", "NDP vs pHost (no trimming)",  # transport-name-ok: experiment family
+               phost_plan),
+        Family("scaling", "permutation utilization vs topology size", scaling_plan),
+        Family("uplinks", "where packets get trimmed (load balancing)", uplink_trimming_plan),
+        Family("failures_degraded", "permutation FCTs over a degraded core link",
+               failures_degraded_plan),
+        Family("failures_recovery", "mid-transfer link failure + recovery timeline",
+               failures_recovery_plan),
+        Family("failures_klinks", "permutation FCTs with k core links down",
+               failures_klinks_plan),
+        Family(
+            "load_fct", "size-binned FCT slowdowns vs load", load_fct_plan,
+            # one row per (load, protocol); nested slowdown stats flatten to
+            # dotted columns (``slowdown.all.p99``) in the canonical CSV layer
+            Chart("p99 FCT slowdown vs offered load (open-loop)",
+                  "line", "load", "slowdown.all.p99", list, series="protocol"),
+        ),
+        Family("rpc_deadline", "partition-aggregate RPCs: SLO-met fraction vs load",
+               rpc_deadline_plan),
+        Family("coflow_ct", "K-round shuffle coflows: completion times vs load",
+               coflow_ct_plan),
+    )
+}
+
+#: family name -> plan builder.  Every caller looks builders up here at call
+#: time rather than through ``FAMILIES[name].plan``, so wrapping an entry
+#: (e.g. to time plan builds) reaches every entry point.
+FIGURE_PLANS: Dict[str, Callable[..., Plan]] = {
+    name: family.plan for name, family in FAMILIES.items()
 }
 
 
-#: experiment name (as used by ``python -m repro.cli``) -> plan builder.
-#: Every builder accepts the same keyword arguments as its generator and
-#: returns a :class:`~repro.harness.sweep.Plan`; this is the registry the
-#: CLI uses to fan whole multi-figure runs across one worker pool.
-FIGURE_PLANS = {
-    "fig2": figure2_plan,
-    "fig4": figure4_plan,
-    "fig8": figure8_plan,
-    "fig9": figure9_plan,
-    "fig10": figure10_plan,
-    "fig11": figure11_plan,
-    "fig12": figure12_plan,
-    "fig13": figure13_plan,
-    "fig14": figure14_plan,
-    "fig15": figure15_plan,
-    "fig16": figure16_plan,
-    "fig17": figure17_plan,
-    "fig19": figure19_plan,
-    "fig20": figure20_plan,
-    "fig21": figure21_plan,
-    "fig22": figure22_plan,
-    "fig23": figure23_plan,
-    "phost": phost_plan,  # transport-name-ok: experiment family, not a protocol
-    "scaling": scaling_plan,
-    "uplinks": uplink_trimming_plan,
-    "failures_degraded": failures_degraded_plan,
-    "failures_recovery": failures_recovery_plan,
-    "failures_klinks": failures_klinks_plan,
-    "load_fct": load_fct_plan,
-    "rpc_deadline": rpc_deadline_plan,
-    "coflow_ct": coflow_ct_plan,
-}
+def run_family(name: str, **kwargs: Any) -> Any:
+    """Build family *name*'s plan from *kwargs* and run it through the cache."""
+    return run_plan(FIGURE_PLANS[name](**kwargs))

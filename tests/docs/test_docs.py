@@ -24,7 +24,9 @@ def test_markdown_links_resolve():
 
 
 def test_readme_figure_index_is_complete():
-    assert check_docs.check_figure_index() == []
+    """Every family is named in the README figure index."""
+    problems = check_docs.check_experiments_handbook()
+    assert [p for p in problems if p.startswith("README.md")] == []
 
 
 def test_repo_has_the_documentation_front_door():
@@ -33,27 +35,26 @@ def test_repo_has_the_documentation_front_door():
 
 
 def test_experiments_handbook_is_complete():
+    """Every family is in the handbook and the README figure index."""
     assert check_docs.check_experiments_handbook() == []
 
 
 def test_handbook_check_catches_an_undocumented_family(monkeypatch):
-    """A FIGURE_PLANS family absent from the handbook/index must fail loudly."""
-    from repro import cli
+    """A family absent from the handbook/index must fail loudly."""
     from repro.harness import figures
 
-    monkeypatch.setitem(figures.FIGURE_PLANS, "fig_unwritten", lambda: None)
-    monkeypatch.setitem(cli.EXPERIMENTS, "fig_unwritten", ("ghost", lambda: None))
+    ghost = figures.Family("fig_unwritten", "ghost", lambda: None)
+    monkeypatch.setitem(figures.FAMILIES, "fig_unwritten", ghost)
     problems = check_docs.check_experiments_handbook()
     assert any("docs/experiments.md" in p and "fig_unwritten" in p for p in problems)
     assert any("README.md" in p and "fig_unwritten" in p for p in problems)
 
 
-def test_handbook_check_catches_a_registry_mismatch(monkeypatch):
-    from repro.harness import figures
-
-    monkeypatch.setitem(figures.FIGURE_PLANS, "fig_orphan", lambda: None)
-    problems = check_docs.check_experiments_handbook()
-    assert any("registry mismatch" in p and "fig_orphan" in p for p in problems)
+def test_link_check_ignores_code_spans(tmp_path, monkeypatch):
+    """``a[i](x)`` in a code span is code; the same text outside one is a link."""
+    (tmp_path / "README.md").write_text("`plans[name](**kw)` and [name](gone.md)\n")
+    monkeypatch.setattr(check_docs, "ROOT", str(tmp_path))
+    assert check_docs.check_links() == ["README.md: broken link -> gone.md"]
 
 
 def test_rendered_figures_are_documented_and_wired():
@@ -81,25 +82,16 @@ def test_path_check_catches_a_stale_path(tmp_path, monkeypatch):
     ]
 
 
-def test_figure_check_catches_an_undocumented_or_dangling_figure(monkeypatch):
-    """A registered render figure must be in the handbook and name a real
-    family — both failure modes must be caught, not discovered at render
-    time."""
-    from repro.analysis import registry
-    from repro.harness.figures import FIGURE_META
+def test_figure_check_catches_an_undocumented_figure(monkeypatch):
+    """A charted family missing from the handbook fails, not just at render."""
+    from repro.harness import figures
 
-    ghost = registry.RegisteredFigure(
-        name="fig_ghost",
-        description="not documented anywhere",
-        meta=FIGURE_META["fig12"],
-        tabulate=lambda assembled: [],
-        family="no_such_family",
+    ghost = figures.Family(
+        "fig_ghost", "not documented anywhere", lambda: None,
+        chart=figures.FAMILIES["fig12"].chart,
     )
-    monkeypatch.setitem(registry.REGISTERED_FIGURES, "fig_ghost", ghost)
+    monkeypatch.setitem(figures.FAMILIES, "fig_ghost", ghost)
     problems = check_docs.check_rendered_figures()
     assert any(
         "docs/experiments.md" in p and "fig_ghost" in p for p in problems
-    )
-    assert any(
-        "unknown family" in p and "no_such_family" in p for p in problems
     )

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
-from repro.harness import sweep
+from repro.analysis import render_figures
+from repro.harness import figures, sweep
 
 
 @pytest.fixture(autouse=True)
@@ -20,8 +21,8 @@ class TestCatalogue:
     def test_list_prints_every_experiment(self, capsys):
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in cli.EXPERIMENTS:
-            assert name in out
+        for name, family in figures.FAMILIES.items():
+            assert f"  {name:8s} {family.description}" in out
         assert "sweep" in out
 
     def test_no_arguments_means_list(self, capsys):
@@ -73,6 +74,72 @@ class TestRun:
     def test_set_with_several_experiments_rejected(self, capsys):
         assert cli.main(["fig12", "fig10", "--set", "samples=10"]) == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_duplicate_experiment_rejected(self, capsys):
+        assert cli.main(["fig12", "fig12"]) == 2
+        captured = capsys.readouterr()
+        assert "more than once: fig12" in captured.err
+        assert "###" not in captured.out  # nothing ran
+
+
+class TestMisplacedOptions:
+    """Arguments that cannot apply exit 2 instead of being silently ignored."""
+
+    def test_set_with_render_rejected(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        argv = ["render", "fig12", "--set", "samples=10", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "--set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_outside_render_rejected(self, tmp_path, capsys):
+        assert cli.main(["fig12", "--out", str(tmp_path / "artifacts")]) == 2
+        assert "--out only applies to render" in capsys.readouterr().err
+        assert cli.main(["sweep", "fig12", "--set", "samples=10",
+                         "--out", str(tmp_path)]) == 2
+
+    def test_png_outside_render_rejected(self, capsys):
+        assert cli.main(["fig12", "--png"]) == 2
+        assert "--png only applies to render" in capsys.readouterr().err
+
+    def test_duplicate_render_figure_rejected(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert cli.main(["render", "fig12", "fig12", "--out", str(out)]) == 2
+        assert "more than once: fig12" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPlanLookup:
+    """Every entry point builds plans through ``FIGURE_PLANS`` at call time.
+
+    Wrapping an entry of that dict is how plan builds are timed from the
+    outside; an entry point that cached a builder or read
+    ``FAMILIES[name].plan`` directly would escape the wrapper.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = figures.FIGURE_PLANS["fig12"]
+
+        def counting(**kwargs):
+            calls.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setitem(figures.FIGURE_PLANS, "fig12", counting)
+        return calls
+
+    def test_cli_run_builds_through_the_table(self, calls):
+        assert cli.main(["fig12", "-q"]) == 0
+        assert len(calls) == 1
+
+    def test_render_builds_through_the_table(self, calls, tmp_path):
+        render_figures(["fig12"], str(tmp_path / "artifacts"))
+        assert len(calls) == 1
+
+    def test_run_family_builds_through_the_table(self, calls):
+        figures.run_family("fig12", samples=200)
+        assert calls == [{"samples": 200}]
 
 
 class TestSweep:

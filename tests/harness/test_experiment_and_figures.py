@@ -66,28 +66,29 @@ class TestWorkloadRunners:
 
 class TestFigureGenerators:
     def test_figure21_saturates_both_bottlenecks(self):
-        result = figures.figure21_sender_limited(duration_ps=units.milliseconds(2))
+        result = figures.run_family("fig21", duration_ps=units.milliseconds(2))
         assert result["total_from_A"] > 8.5
         assert result["total_to_E"] > 8.5
         assert set(result) >= {"A->B", "A->C", "A->D", "A->E", "F->E"}
 
     def test_figure12_pull_spacing_medians(self):
-        result = figures.figure12_pull_spacing(samples=2000)
+        result = figures.run_family("fig12", samples=2000)
         assert abs(result[9000]["median_us"] - 7.2) < 0.5
         assert abs(result[1500]["median_us"] - 1.2) < 0.15
 
     def test_figure8_stack_ordering(self):
-        summary = figures.figure8_rpc_latency(samples=200)
+        summary = figures.run_family("fig8", samples=200)
         assert summary["NDP"]["median_us"] < summary["TFO (no sleep)"]["median_us"]
         assert summary["TFO"]["median_us"] < summary["TCP"]["median_us"]
 
     def test_figure10_priority_is_effective(self):
-        result = figures.figure10_prioritization(long_flows=4)
+        result = figures.run_family("fig10", long_flows=4)
         assert result["with_prioritization_us"] < result["without_prioritization_us"]
         assert result["idle_us"] <= result["with_prioritization_us"]
 
     def test_uplink_trimming_study_shape(self):
-        result = figures.uplink_trimming_study(
+        result = figures.run_family(
+            "uplinks",
             k=4, flow_bytes=20_000_000, duration_ps=units.milliseconds(1)
         )
         assert result["permutation"]["uplink_trim_fraction"] <= result["random"][
@@ -106,7 +107,8 @@ class TestFigureGenerators:
             assert name in figures.FIGURE_PLANS
 
     def test_failures_degraded_ndp_beats_per_flow_ecmp(self):
-        rows = figures.failures_degraded(
+        rows = figures.run_family(
+            "failures_degraded",
             flow_bytes=200_000, cases=["NDP", "TCP"],
             timeout_ps=units.milliseconds(40),
         )
@@ -120,7 +122,8 @@ class TestFigureGenerators:
             figures.failures_klinks_plan(links_down=4, k=4)
 
     def test_failures_recovery_timeline_records_link_events(self):
-        result = figures.failures_recovery(
+        result = figures.run_family(
+            "failures_recovery",
             flow_bytes=500_000,
             duration_ps=units.milliseconds(4),
             protocols=["NDP"],

@@ -285,11 +285,6 @@ def _always_failing():
 # ---------------------------------------------------------------------------
 
 class TestFigurePlans:
-    def test_registry_matches_cli_catalogue(self):
-        from repro import cli
-
-        assert set(figures.FIGURE_PLANS) == set(cli.EXPERIMENTS)
-
     def test_every_plan_yields_executable_picklable_specs(self):
         for name, builder in figures.FIGURE_PLANS.items():
             plan = builder()

@@ -5,21 +5,16 @@ Checks, without any network access:
 
 1. every relative markdown link (``[text](path)``) in the repo's ``*.md``
    files resolves to an existing file or directory (anchors are stripped;
-   ``http(s)://`` / ``mailto:`` links are skipped);
-2. every experiment name in the CLI catalogue (``repro.cli.EXPERIMENTS``)
-   is mentioned in the README's figure index, so the front door can never
-   silently fall out of date;
-3. every markdown anchor referenced as ``path#anchor`` exists as a heading
+   ``http(s)://`` / ``mailto:`` links and inline code spans are skipped);
+2. every markdown anchor referenced as ``path#anchor`` exists as a heading
    in the target file (GitHub-style slugs);
-4. every experiment family in ``repro.harness.figures.FIGURE_PLANS`` is
+3. every experiment family in ``repro.harness.figures.FAMILIES`` is
    covered by the experiments handbook (``docs/experiments.md``) *and* the
-   README figure index, and the two registries (``FIGURE_PLANS`` /
-   ``EXPERIMENTS``) agree — the experiment catalogue cannot rot;
-5. every figure registered in the results-to-figures pipeline
-   (``repro.analysis.registry.REGISTERED_FIGURES``) appears in the
-   handbook, and every simulation-backed one names a real ``FIGURE_PLANS``
-   family with chart metadata — ``render`` output cannot go undocumented;
-6. every backticked path in ``README.md``, ``docs/*.md`` and
+   README figure index — the experiment catalogue cannot rot;
+4. every figure ``render`` draws (``repro.analysis.rendered_figures``:
+   the charted families plus ``perf``) appears in the handbook — ``render``
+   output cannot go undocumented;
+5. every backticked path in ``README.md``, ``docs/*.md`` and
    ``benchmarks/perf/README.md`` exists, so a doc cannot keep naming a
    deleted module.
 
@@ -73,7 +68,8 @@ def check_links() -> List[str]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         relpath = os.path.relpath(path, ROOT)
-        for match in LINK_RE.finditer(text):
+        # `a[i](x)` inside a code span is code, not a link
+        for match in LINK_RE.finditer(CODE_SPAN_RE.sub("``", text)):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
@@ -96,56 +92,30 @@ def check_links() -> List[str]:
     return problems
 
 
-def check_figure_index() -> List[str]:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    try:
-        from repro.cli import EXPERIMENTS
-    except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro.cli to verify the figure index: {error}"]
-    readme = os.path.join(ROOT, "README.md")
-    if not os.path.exists(readme):
-        return ["README.md is missing"]
-    with open(readme, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return [
-        f"README.md: experiment {name!r} missing from the figure index"
-        for name in EXPERIMENTS
-        if f"`{name}`" not in text
-    ]
+def _read(relpath: str) -> str:
+    """The text of a repo file, or ``""`` when it is missing."""
+    path = os.path.join(ROOT, relpath)
+    if not os.path.exists(path):
+        return ""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def check_experiments_handbook() -> List[str]:
-    """Every FIGURE_PLANS family must appear in the handbook and README index.
+    """Every ``FAMILIES`` entry must appear in the handbook and README index.
 
     Names are looked up as backticked code spans (`` `name` ``), the way
-    both documents list experiments.  Also asserts the plan registry and
-    the CLI catalogue name the same families: an experiment reachable from
-    one entry point but not the other is a wiring bug, not a docs bug, but
-    it surfaces here because this is the only place both are imported.
+    both documents list experiments.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
-        from repro.cli import EXPERIMENTS
-        from repro.harness.figures import FIGURE_PLANS
+        from repro.harness.figures import FAMILIES
     except Exception as error:  # pragma: no cover - import environment issue
         return [f"could not import repro to verify the experiments handbook: {error}"]
+    handbook_text = _read(os.path.join("docs", "experiments.md"))
+    readme_text = _read("README.md")
     problems = []
-    for name in sorted(set(FIGURE_PLANS) ^ set(EXPERIMENTS)):
-        problems.append(
-            f"registry mismatch: experiment {name!r} is missing from "
-            f"{'repro.cli.EXPERIMENTS' if name in FIGURE_PLANS else 'FIGURE_PLANS'}"
-        )
-    handbook = os.path.join(ROOT, "docs", "experiments.md")
-    if not os.path.exists(handbook):
-        return problems + ["docs/experiments.md is missing"]
-    with open(handbook, "r", encoding="utf-8") as fh:
-        handbook_text = fh.read()
-    readme_text = ""
-    readme = os.path.join(ROOT, "README.md")
-    if os.path.exists(readme):
-        with open(readme, "r", encoding="utf-8") as fh:
-            readme_text = fh.read()
-    for name in FIGURE_PLANS:
+    for name in FAMILIES:
         if f"`{name}`" not in handbook_text:
             problems.append(
                 f"docs/experiments.md: experiment family {name!r} missing "
@@ -160,44 +130,23 @@ def check_experiments_handbook() -> List[str]:
 
 
 def check_rendered_figures() -> List[str]:
-    """Every registered ``render`` figure must be documented and wired.
+    """Every ``render`` figure must be documented in the handbook.
 
-    Names are looked up as backticked code spans in the handbook, like the
-    experiment families.  Wiring: a family-backed registration must point
-    at an existing ``FIGURE_PLANS`` entry and carry ``FIGURE_META`` chart
-    metadata — a dangling registration would only surface at render time
-    otherwise.
+    Names are looked up as backticked code spans, like the experiment
+    families; this covers ``perf``, which is not a family.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
-        from repro.analysis.registry import REGISTERED_FIGURES
-        from repro.harness.figures import FIGURE_META, FIGURE_PLANS
+        from repro.analysis import rendered_figures
     except Exception as error:  # pragma: no cover - import environment issue
-        return [f"could not import repro.analysis to verify the figure registry: {error}"]
-    problems = []
-    handbook = os.path.join(ROOT, "docs", "experiments.md")
-    if not os.path.exists(handbook):
-        return ["docs/experiments.md is missing"]
-    with open(handbook, "r", encoding="utf-8") as fh:
-        handbook_text = fh.read()
-    for name, figure in REGISTERED_FIGURES.items():
-        if f"`{name}`" not in handbook_text:
-            problems.append(
-                f"docs/experiments.md: rendered figure {name!r} missing from "
-                f"the handbook (From runs to figures)"
-            )
-        if figure.family is not None:
-            if figure.family not in FIGURE_PLANS:
-                problems.append(
-                    f"figure registry: {name!r} names unknown family "
-                    f"{figure.family!r}"
-                )
-            if figure.family not in FIGURE_META:
-                problems.append(
-                    f"figure registry: family {figure.family!r} of {name!r} "
-                    f"has no FIGURE_META chart metadata"
-                )
-    return problems
+        return [f"could not import repro.analysis to verify the rendered figures: {error}"]
+    handbook_text = _read(os.path.join("docs", "experiments.md"))
+    return [
+        f"docs/experiments.md: rendered figure {name!r} missing from "
+        f"the handbook (From runs to figures)"
+        for name in rendered_figures()
+        if f"`{name}`" not in handbook_text
+    ]
 
 
 def check_code_paths() -> List[str]:
@@ -233,7 +182,6 @@ def check_code_paths() -> List[str]:
 def main() -> int:
     problems = (
         check_links()
-        + check_figure_index()
         + check_experiments_handbook()
         + check_rendered_figures()
         + check_code_paths()
